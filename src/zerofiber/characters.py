@@ -154,20 +154,8 @@ def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
     return [triv] + out
 
 
-def restrict_values(group: FiniteGroup, chi: ClassFunction, sub: Subgroup) -> dict[int, Cyc]:
-    """chi restricted to the subgroup, as element index -> value."""
-    return {h: value_at_element(group, chi, h) for h in sub.indices}
-
-
 def kernel_contains(group: FiniteGroup, chi: ClassFunction, sub: Subgroup) -> bool:
     return all(value_at_element(group, chi, h) == 1 for h in sub.indices)
-
-
-def same_restriction(group: FiniteGroup, a: ClassFunction, b: ClassFunction,
-                     sub: Subgroup) -> bool:
-    return all(
-        value_at_element(group, a, h) == value_at_element(group, b, h) for h in sub.indices
-    )
 
 
 # -- full tables ---------------------------------------------------------------

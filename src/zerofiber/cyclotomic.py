@@ -21,6 +21,7 @@ class ConductorError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")

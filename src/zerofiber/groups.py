@@ -153,10 +153,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def class_reps(self) -> list[int]:
-        return [c[0] for c in self.classes]
-
     def trace(self, idx: int) -> Cyc:
         g = self.elements[idx]
         return g[0] + g[3]
@@ -190,7 +186,15 @@ class FiniteGroup:
 
 def close(generators: list[Mat2], cap: int = CLOSURE_CAP,
           spec: GroupSpec | None = None) -> FiniteGroup:
-    """Breadth-first closure with exact dedup; builds all tables."""
+    """Breadth-first closure with exact dedup; builds all tables.
+
+    The BFS multiplies each element x by each generator g_k once and keeps
+    the index of x g_k as right[k][x]; each new element b remembers its BFS
+    parent (p, k), b = elements[p] g_k.  By associativity
+    a b = (a elements[p]) g_k, so mult[a][b] = right[k][mult[a][p]] fills
+    every row in BFS order by lookups alone: the closure costs |G| |gens|
+    exact matrix products, not |G|^2.
+    """
     if not generators:
         raise ValueError("no generators")
     m = generators[0][0].m
@@ -202,35 +206,34 @@ def close(generators: list[Mat2], cap: int = CLOSURE_CAP,
     ident = mat_identity2(m)
     elements: list[Mat2] = [ident]
     index: dict[Mat2, int] = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for el in frontier:
-            for g in generators:
-                prod = mat_mul2(el, g)
-                if prod not in index:
-                    if len(elements) >= cap:
-                        raise ClosureCapError(
-                            f"closure exceeded cap {cap}; wrong generators or conductor?")
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    new_frontier.append(prod)
-        frontier = new_frontier
+    right: list[list[int]] = [[] for _ in generators]
+    parent: list[tuple[int, int]] = [(0, 0)]  # the identity's entry is never read
+    x = 0
+    while x < len(elements):  # FIFO over the element list: the BFS order
+        el = elements[x]
+        for k, g in enumerate(generators):
+            prod = mat_mul2(el, g)
+            j = index.get(prod)
+            if j is None:
+                if len(elements) >= cap:
+                    raise ClosureCapError(
+                        f"closure exceeded cap {cap}; wrong generators or conductor?")
+                j = len(elements)
+                index[prod] = j
+                elements.append(prod)
+                parent.append((x, k))
+            right[k].append(j)
+        x += 1
 
     n = len(elements)
-    mult = [[0] * n for _ in range(n)]
+    steps = [(p, right[k]) for p, k in parent[1:]]
+    mult = []
     for a in range(n):
-        ea = elements[a]
-        row = mult[a]
-        for b in range(n):
-            row[b] = index[mat_mul2(ea, elements[b])]
-    inv = [0] * n
-    for a in range(n):
-        row = mult[a]
-        for b in range(n):
-            if row[b] == 0:
-                inv[a] = b
-                break
+        row = [a]
+        for p, r in steps:
+            row.append(r[row[p]])
+        mult.append(row)
+    inv = [row.index(0) for row in mult]
 
     group = FiniteGroup(
         conductor=m,
@@ -295,13 +298,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.group.order // self.order
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self._index_set
-
-    @property
-    def _index_set(self) -> frozenset[int]:
-        return frozenset(self.indices)
 
 
 def close_indices(group: FiniteGroup, seeds: set[int]) -> tuple[int, ...]:

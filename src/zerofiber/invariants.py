@@ -15,7 +15,7 @@ from functools import lru_cache
 from .cyclotomic import Cyc
 from .groebner import GroebnerBasis, buchberger
 from .groups import FiniteGroup, GroupSpec, build_group
-from .poly2 import Poly2, act, from_int_terms
+from .poly2 import Poly2, act, from_int_terms, linear_form_powers
 
 
 @lru_cache(maxsize=None)
@@ -72,38 +72,57 @@ def invariant_degrees(spec: GroupSpec) -> tuple[int, ...]:
     return tuple(f.degree() for f in fundamental_invariants(spec))
 
 
-def reynolds(group: FiniteGroup, p: Poly2) -> Poly2:
-    """(1/|G|) sum_g g.p, averaged over the diagonal cyclic subgroup first
-    and then over coset representatives (the same operator, faster)."""
-    if p.is_zero():
-        return p
+def reynolds_many(group: FiniteGroup, polys: list[Poly2]) -> list[Poly2]:
+    """The Reynolds operator (1/|G|) sum_g g.p on every p in polys, in one sweep.
+
+    When the first generator w1 is diagonal, averaging over the cyclic
+    subgroup C = <w1> first keeps exactly the monomials x^a y^b with
+    (b - a) % |C| == 0, and the rest of the average runs over one
+    representative per coset gC.  The sweep visits each representative
+    once, builds the powers of its two linear forms up to the largest
+    exponent needed, and adds the image of every kept monomial to that
+    monomial's running sum; each p is then a combination of those sums,
+    scaled by 1/#representatives.  Without a diagonal w1 the same sweep
+    runs over all of G with C = {1}.
+    """
     w1 = group.gen_indices[0]
     g1 = group.elements[w1]
+    csub = {0}
     if g1[1].is_zero() and g1[2].is_zero():
-        ord_u = group.element_order[w1]
-        filtered = Poly2({m: c for m, c in p.terms.items() if (m[1] - m[0]) % ord_u == 0},
-                         _clean=True)
-        if filtered.is_zero():
-            return filtered
-        csub = {0}
         cur = w1
         while cur != 0:
             csub.add(cur)
             cur = group.mult[cur][w1]
-        reps = []
-        seen = set()
-        for g in range(group.order):
-            if g not in seen:
-                reps.append(g)
-                seen.update(group.mult[g][c] for c in csub)
+    ord_u = len(csub)
+    sums = {m: Poly2.zero() for p in polys for m in p.terms if (m[1] - m[0]) % ord_u == 0}
+    if not sums:
+        return [Poly2.zero() for _ in polys]
+    reps = []
+    seen = set()
+    for g in range(group.order):
+        if g not in seen:
+            reps.append(g)
+            seen.update(group.mult[g][c] for c in csub)
+    max_a = max(a for a, _ in sums)
+    max_b = max(b for _, b in sums)
+    for r in reps:
+        xp, yp = linear_form_powers(group.elements[r], max_a, max_b)
+        for (a, b), acc in sums.items():
+            sums[a, b] = acc + xp[a] * yp[b]
+    scale = Fraction(1, len(reps))
+    out = []
+    for p in polys:
         acc = Poly2.zero()
-        for r in reps:
-            acc = acc + act(group.elements[r], filtered)
-        return acc.scale(Fraction(1, len(reps)))
-    acc = Poly2.zero()
-    for g in group.elements:
-        acc = acc + act(g, p)
-    return acc.scale(Fraction(1, group.order))
+        for m, c in p.terms.items():
+            if m in sums:
+                acc = acc + sums[m].scale(c * scale)
+        out.append(acc)
+    return out
+
+
+def reynolds(group: FiniteGroup, p: Poly2) -> Poly2:
+    """(1/|G|) sum_g g.p: the coset sweep of reynolds_many on p alone."""
+    return reynolds_many(group, [p])[0]
 
 
 def invariant_dim(group: FiniteGroup, d: int) -> int:
@@ -111,11 +130,8 @@ def invariant_dim(group: FiniteGroup, d: int) -> int:
     of the degree-d monomial basis."""
     if d == 0:
         return 1
-    rows = []
-    for i in range(d + 1):
-        r = reynolds(group, Poly2.monomial(i, d - i))
-        if not r.is_zero():
-            rows.append(tuple(r.coeff(a, d - a) for a in range(d + 1)))
+    images = reynolds_many(group, [Poly2.monomial(i, d - i) for i in range(d + 1)])
+    rows = [tuple(r.coeff(a, d - a) for a in range(d + 1)) for r in images if not r.is_zero()]
     if not rows:
         return 0
     from .linalg import rank
@@ -163,12 +179,11 @@ def invariant_ideal_basis(spec: GroupSpec) -> GroebnerBasis:
     gb = buchberger(gens)
     group = build_group(spec)
     top = max(f.degree() for f in gens)
-    for d in range(1, top + 1):
-        for i in range(d + 1):
-            r = reynolds(group, Poly2.monomial(i, d - i))
-            if not r.is_zero() and not gb.contains(r):
-                raise AssertionError(
-                    f"invariant of degree {d} outside the fundamental ideal for {spec}")
+    monos = [Poly2.monomial(i, d - i) for d in range(1, top + 1) for i in range(d + 1)]
+    for mono, r in zip(monos, reynolds_many(group, monos)):
+        if not r.is_zero() and not gb.contains(r):
+            raise AssertionError(
+                f"invariant of degree {mono.degree()} outside the fundamental ideal for {spec}")
     return gb
 
 

@@ -258,8 +258,9 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
     finite_roots = [r for r in ctx.positive_roots]
     primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093]
     for attempt, p in enumerate(primes):
-        # c_i = (base_i + offset_i/p) scaled to satisfy the two constraints
-        cand = [Fraction(k * k + 1, p) for k in range(n)]
+        # c_k = base_k / p; each retry changes the quadratic base_k, since a
+        # new prime alone only rescales the candidate
+        cand = [Fraction(k * k + 1 + attempt * k * (k + 3), p) for k in range(n)]
         # adjust two coordinates to hit c.alpha = 0 and c.delta = 1 exactly;
         # pick one coordinate in alpha's support and one outside (vertex 0).
         support = [i for i in range(n) if alpha[i]]

@@ -16,10 +16,6 @@ from .cyclotomic import Cyc
 Monomial = tuple[int, int]
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return (m1[0] + m2[0], m1[1] + m2[1])
-
-
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     return m1[0] <= m2[0] and m1[1] <= m2[1]
 
@@ -89,10 +85,6 @@ class Poly2:
 
     def coeff(self, a: int, b: int) -> Cyc:
         return self.terms.get((a, b), Cyc.zero(1))
-
-    def is_homogeneous(self) -> bool:
-        degs = {a + b for a, b in self.terms}
-        return len(degs) <= 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -243,6 +235,22 @@ def from_int_terms(terms: dict[Monomial, int]) -> Poly2:
     return Poly2({m: Cyc.rational(c) for m, c in terms.items() if c})
 
 
+def linear_form_powers(gmat, max_a: int, max_b: int) -> tuple[list[Poly2], list[Poly2]]:
+    """The powers (g.x)^i for i <= max_a and (g.y)^j for j <= max_b, where
+    g = [[a, b], [c, d]] acts on linear forms by x -> d x - b y, y -> -c x + a y.
+    All coefficients, the constant 1 included, live at the conductor of g."""
+    a, b, c, d = gmat
+    gx = Poly2({(1, 0): d, (0, 1): -b})
+    gy = Poly2({(1, 0): -c, (0, 1): a})
+    one = Poly2({(0, 0): Cyc.one(a.m)}, _clean=True)
+    xp, yp = [one], [one]
+    for _ in range(max_a):
+        xp.append(xp[-1] * gx)
+    for _ in range(max_b):
+        yp.append(yp[-1] * gy)
+    return xp, yp
+
+
 def act(gmat, p: Poly2) -> Poly2:
     """Action of a unimodular 2x2 matrix g on polynomials: (g.f)(v) = f(g^-1 v).
 
@@ -256,16 +264,7 @@ def act(gmat, p: Poly2) -> Poly2:
         raise ValueError("action requires det(g) = 1")
     if p.is_zero():
         return p
-    gx = Poly2({(1, 0): d, (0, 1): -b})
-    gy = Poly2({(1, 0): -c, (0, 1): a})
-    max_a = max(m[0] for m in p.terms)
-    max_b = max(m[1] for m in p.terms)
-    xp = [Poly2.constant(1)]
-    for _ in range(max_a):
-        xp.append(xp[-1] * gx)
-    yp = [Poly2.constant(1)]
-    for _ in range(max_b):
-        yp.append(yp[-1] * gy)
+    xp, yp = linear_form_powers(gmat, max(m[0] for m in p.terms), max(m[1] for m in p.terms))
     out = Poly2.zero()
     for (i, j), coeff in p.terms.items():
         out = out + (xp[i] * yp[j]).scale(coeff)

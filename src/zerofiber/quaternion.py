@@ -30,10 +30,6 @@ class Quaternion:
         return Quaternion(Cyc.one(m), Cyc.zero(m))
 
     @staticmethod
-    def from_complex(z: Cyc) -> "Quaternion":
-        return Quaternion(z, Cyc.zero(z.m))
-
-    @staticmethod
     def basis(name: str, m: int = 4) -> "Quaternion":
         """One of 1, i, j, k at a conductor divisible by 4 (for i and k)."""
         if name == "1":
@@ -77,16 +73,22 @@ class Quaternion:
             return Quaternion(self.z1 * other, self.z2 * other)
         return NotImplemented
 
+    def norm(self) -> Cyc:
+        """conj(q) * q = |z1|^2 + |z2|^2: a non-negative real cyclotomic, not
+        always rational (q = 1 - zeta_8 has norm 2 - sqrt 2)."""
+        return self.z1 * self.z1.conj() + self.z2 * self.z2.conj()
+
     def norm_sq(self) -> Fraction:
-        """conj(q) * q, always rational and >= 0."""
-        v = self.z1 * self.z1.conj() + self.z2 * self.z2.conj()
-        return v.as_rational()
+        """conj(q) * q for a q whose norm is rational (unit quaternions and
+        their rational multiples); raises ValueError otherwise."""
+        return self.norm().as_rational()
 
     def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
-        if n == 0:
+        n = self.norm()
+        if n.is_zero():
             raise ZeroDivisionError("zero quaternion")
-        return self.conj() * (1 / n)
+        # the norm is real, hence central: q^-1 = conj(q) n^-1
+        return self.conj() * n.inverse()
 
     def __eq__(self, other):
         if not isinstance(other, Quaternion):

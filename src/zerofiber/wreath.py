@@ -384,10 +384,11 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
 
     # (iii) 2 sum_K |(alpha_K, alpha_H)|^2 / ((alpha_K,alpha_K)(alpha_H,alpha_H)) = k
     for h, nh in zip(planes, norms):
-        s = Fraction(0)
+        s = Cyc.zero(m)
         for kpl, nk in zip(planes, norms):
+            # |(alpha_K, alpha_H)|^2 is real but not always rational
             val = hermitian_form(kpl.alpha, h.alpha)
-            s += val.norm_sq() / (nk * nh)
+            s = s + val.norm() / (nk * nh)
         if 2 * s != k:
             raise AssertionError(f"pairing sum fails for a hyperplane: {2 * s} != {k}")
     pairing_verdict = "pass"

@@ -8,6 +8,8 @@ from zerofiber.groups import (
     close,
     commutator_subgroup,
     mat_det2,
+    mat_identity2,
+    mat_mul2,
     resolve_subgroup,
 )
 
@@ -152,3 +154,31 @@ def test_closure_cap():
     gens = builtin_generators(GroupSpec("bi"))
     with pytest.raises(ClosureCapError):
         close(gens, cap=50)
+
+
+ORACLE_SPECS = [f"cyclic:{l}" for l in range(1, 13)] + [f"bd:{n}" for n in range(1, 9)] + [
+    "bt", "bo"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_close_matches_brute_force(spec):
+    """close fills mult by lookups along BFS parents; the oracle is the
+    level-by-level BFS plus one exact product per table entry."""
+    gens = builtin_generators(GroupSpec.parse(spec))
+    ident = mat_identity2(gens[0][0].m)
+    elements, index, frontier = [ident], {ident: 0}, [ident]
+    while frontier:
+        new_frontier = []
+        for el in frontier:
+            for g in gens:
+                prod = mat_mul2(el, g)
+                if prod not in index:
+                    index[prod] = len(elements)
+                    elements.append(prod)
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    group = close(gens)
+    assert group.elements == elements
+    assert group.gen_indices == [index[g] for g in gens]
+    assert group.mult == [[index[mat_mul2(a, b)] for b in elements] for a in elements]
+    assert all(group.mult[a][group.inv[a]] == 0 for a in range(group.order))

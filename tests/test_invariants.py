@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from zerofiber.groups import GroupSpec, build_group
+from zerofiber.groups import GroupSpec, build_group, builtin_generators, close
 from zerofiber.invariants import (
     fundamental_invariants,
     invariant_degrees,
@@ -8,9 +10,10 @@ from zerofiber.invariants import (
     invariant_ideal_basis,
     molien_coeffs,
     reynolds,
+    reynolds_many,
     zero_fiber_degree,
 )
-from zerofiber.poly2 import Poly2, from_int_terms
+from zerofiber.poly2 import Poly2, act, from_int_terms
 
 
 def S(t):
@@ -113,3 +116,71 @@ def test_cyclic_standard_monomials_match_span():
     sm = set(gb.standard_monomials)
     expected = {(a, 0) for a in range(4)} | {(0, b) for b in range(1, 4)}
     assert sm == expected
+
+
+@pytest.mark.parametrize("spec,reverse", [("cyclic:3", False), ("bd:2", False), ("bt", False),
+                                          ("bt", True)])
+def test_reynolds_equals_full_group_average(spec, reverse):
+    """The coset sweep against (1/|G|) sum_g g.p, for every monomial of
+    degree <= 8, batched and one at a time.  Reversed, bt's first generator
+    is not diagonal and the sweep runs over all of G."""
+    gens = builtin_generators(S(spec))
+    g = close(gens[::-1] if reverse else gens)
+    monos = [Poly2.monomial(i, d - i) for d in range(9) for i in range(d + 1)]
+    batched = reynolds_many(g, monos)
+    for p, r in zip(monos, batched):
+        acc = Poly2.zero()
+        for el in g.elements:
+            acc = acc + act(el, p)
+        expected = acc.scale(Fraction(1, g.order))
+        assert r == expected, (spec, p)
+        assert reynolds(g, p) == expected, (spec, p)
+
+
+def test_reynolds_many_linear_in_each_input():
+    g = build_group(S("bd:2"))
+    p = from_int_terms({(4, 0): 3, (2, 2): -1, (1, 3): 2, (0, 1): 5})
+    q = from_int_terms({(3, 1): 1, (0, 4): 7})
+    rp, rq, rpq, rz = reynolds_many(g, [p, q, p + q, Poly2.zero()])
+    assert rpq == rp + rq
+    assert rz.is_zero()
+
+
+# Reduced lex bases of the fundamental-invariant ideals, as the exact
+# products of the full-table closure and the per-monomial Reynolds check
+# gave them.
+RECORDED_BASES = {
+    "cyclic:1": ["x", "y"],
+    "cyclic:2": ["x^2", "x*y", "y^2"],
+    "cyclic:3": ["x^3", "x*y", "y^3"],
+    "cyclic:4": ["x^4", "x*y", "y^4"],
+    "cyclic:5": ["x^5", "x*y", "y^5"],
+    "cyclic:6": ["x^6", "x*y", "y^6"],
+    "cyclic:7": ["x^7", "x*y", "y^7"],
+    "cyclic:8": ["x^8", "x*y", "y^8"],
+    "cyclic:9": ["x^9", "x*y", "y^9"],
+    "cyclic:10": ["x^10", "x*y", "y^10"],
+    "cyclic:11": ["x^11", "x*y", "y^11"],
+    "cyclic:12": ["x^12", "x*y", "y^12"],
+    "bd:1": ["x^2-y^2", "x*y^3", "y^4"],
+    "bd:2": ["x^4+y^4", "x^2*y^2", "x*y^5", "y^6"],
+    "bd:3": ["x^6-y^6", "x^2*y^2", "x*y^7", "y^8"],
+    "bd:4": ["x^8+y^8", "x^2*y^2", "x*y^9", "y^10"],
+    "bd:5": ["x^10-y^10", "x^2*y^2", "x*y^11", "y^12"],
+    "bd:6": ["x^12+y^12", "x^2*y^2", "x*y^13", "y^14"],
+    "bd:7": ["x^14-y^14", "x^2*y^2", "x*y^15", "y^16"],
+    "bd:8": ["x^16+y^16", "x^2*y^2", "x*y^17", "y^18"],
+    "bt": ["x^8+14*x^4*y^4+y^8", "x^5*y-x*y^5", "x^4*y^5+1/15*y^9", "x*y^9", "y^12"],
+    "bo": ["x^8+14*x^4*y^4+y^8", "x^6*y^6", "x^4*y^10+1/14*y^14", "x^2*y^14", "x*y^17",
+           "y^18"],
+    "bi": ["x^20+3002*x^10*y^10+y^20", "x^11*y+11*x^6*y^6-x*y^11",
+           "x^10*y^11-1/284*x^5*y^16+1/3124*y^21", "x^6*y^16-1/11*x*y^21",
+           "x^5*y^21+1/273*y^26", "x*y^26", "y^30"],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RECORDED_BASES))
+def test_ideal_basis_matches_recorded(spec):
+    gb = invariant_ideal_basis(S(spec))
+    assert [str(p) for p in gb.polys] == RECORDED_BASES[spec]
+    assert zero_fiber_degree(S(spec)) == 2 * build_group(S(spec)).order - 1

@@ -126,6 +126,19 @@ def test_generic_on_hyperplane_simple_root():
     assert sigma_c(ctx, c) == (alpha,)
 
 
+def test_generic_on_hyperplane_retries_new_candidates():
+    # on this root of A29(1) the first candidate makes another root's
+    # pairing an integer; the retries must move off it
+    ctx = root_context(S("cyclic:30"))
+    alpha = (0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0,
+             0, 0)
+    assert alpha in ctx.positive_roots
+    c = generic_on_hyperplane(ctx, alpha)
+    assert dot(c, alpha) == 0
+    assert dot(c, ctx.delta) == 1
+    assert sigma_c(ctx, c) == (alpha,)
+
+
 def test_delta_plus_phi_for_cyclic2():
     ctx = root_context(S("cyclic:2"))
     alpha = ctx.phi

@@ -156,3 +156,13 @@ def test_symplectic_part_bilinear_alternating():
         # additivity in each slot
         xz = tuple(a + b for a, b in zip(x, z))
         assert split_form(xz, y)[1] == sxy + split_form(z, y)[1]
+
+
+def test_inverse_with_non_rational_norm():
+    m = 8
+    q = Quaternion(Cyc.one(m) - Cyc.zeta(m), Cyc.zeta(m, 3))
+    n = (q.conj() * q).z1  # 2 - sqrt 2 + 1: real, not rational
+    assert not n.is_rational() and n.conj() == n
+    qi = q.inverse()
+    assert q * qi == Quaternion.one(m)
+    assert qi * q == Quaternion.one(m)

@@ -194,3 +194,20 @@ def test_appendix_cap_skips():
     rep = appendix_checks(ctx_of("bi", "whole", 2))
     assert rep.trace_identity == "pass"
     assert rep.f_operator == "skipped(cap)"
+
+
+@pytest.mark.parametrize("gamma", ["cyclic:5", "bd:4"])
+def test_numerology_non_rational_pivot_norms(gamma):
+    """The elimination behind the irreducibility test meets quaternions
+    whose norm is real but not rational (2 - sqrt 2 for bd:4)."""
+    c = ctx_of(gamma, "whole", 3)
+    rep = numerology(c)
+    G, D, n = c.group.order, c.sub.order, 3
+    assert rep.N == (n * (n - 1) // 2) * G + n * (D - 1)
+    assert rep.g == (n - 1) * G + 2 * (D - 1)
+    assert rep.irreducible
+
+
+def test_appendix_uncapped_non_rational_pairings():
+    rep = appendix_checks(ctx_of("bd:4", "whole", 2), enforce_caps=False)
+    assert rep.trace_identity == rep.f_operator == rep.pairing_sum == rep.k_identity == "pass"
