@@ -66,15 +66,18 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """z^k reduced mod Phi_m as integer vectors, for k = 0..2m-2."""
+def _power_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """z^k reduced mod Phi_m as sparse rows of nonzero (t, c), for k = 0..2m-2.
+
+    The one table behind the reduction in products, Galois images and lifts.
+    """
     phi = euler_phi(m)
     mono = list(cyclotomic_polynomial(m))[:-1]
-    rows: list[tuple[int, ...]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
     cur = [0] * phi
     cur[0] = 1
     for _ in range(2 * m - 1):
-        rows.append(tuple(cur))
+        rows.append(tuple((t, c) for t, c in enumerate(cur) if c))
         # multiply by z
         carry = cur[phi - 1]
         nxt = [0] + cur[: phi - 1]
@@ -85,22 +88,32 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den < 0:
-        den = -den
-        num = [-a for a in num]
-    g = den
-    for a in num:
-        if a:
-            g = gcd(g, a)
-            if g == 1:
-                break
-    if g > 1:
-        den //= g
-        num = [a // g for a in num]
-    if all(a == 0 for a in num):
-        den = 1
-    return tuple(num), den
+@lru_cache(maxsize=None)
+def _units(m: int) -> tuple[int, ...]:
+    """The k in 2..m-1 with gcd(k, m) = 1: the non-identity automorphisms."""
+    return tuple(k for k in range(2, m) if gcd(k, m) == 1)
+
+
+def _make(m: int, num: tuple[int, ...], den: int) -> "Cyc":
+    """A Cyc from parts already in canonical form (gcd(den, *num) = 1, den > 0)."""
+    c = object.__new__(Cyc)
+    c.m = m
+    c.num = num
+    c.den = den
+    return c
+
+
+def _reduced(m: int, num: list[int], den: int) -> "Cyc":
+    """A Cyc from integer parts with den > 0, divided by their common gcd.
+
+    gcd(den, 0, ..., 0) = den, so zero comes out as 0/1.  With den = 1 (for
+    instance a product of two integral values) there is nothing to divide.
+    """
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _make(m, tuple([a // g for a in num]), den // g)
+    return _make(m, tuple(num), den)
 
 
 class Cyc:
@@ -113,45 +126,45 @@ class Cyc:
 
     __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, num: tuple[int, ...], den: int = 1, _normalized: bool = False):
-        if _normalized:
-            self.m = m
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, m: int, num: tuple[int, ...], den: int = 1):
         phi = euler_phi(m)
         if len(num) != phi:
             raise ValueError(f"coefficient vector has length {len(num)}, expected phi({m})={phi}")
-        n, d = _normalize(list(num), den)
+        if den == 0:
+            raise ZeroDivisionError("Cyc with denominator 0")
+        if den < 0:
+            den, num = -den, [-a for a in num]
+        g = gcd(den, *num)
         self.m = m
-        self.num = n
-        self.den = d
+        self.num = tuple(a // g for a in num)
+        self.den = den // g
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(m: int = 1) -> "Cyc":
-        return Cyc(m, (0,) * euler_phi(m), 1, _normalized=True)
+        return _make(m, (0,) * euler_phi(m), 1)
 
     @staticmethod
     def one(m: int = 1) -> "Cyc":
         v = [0] * euler_phi(m)
         v[0] = 1
-        return Cyc(m, tuple(v), 1, _normalized=True)
+        return _make(m, tuple(v), 1)
 
     @staticmethod
     def rational(q, m: int = 1) -> "Cyc":
         q = Fraction(q)
         v = [0] * euler_phi(m)
         v[0] = q.numerator
-        return Cyc(m, tuple(v), q.denominator)
+        return _make(m, tuple(v), q.denominator)
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "Cyc":
         """zeta_m^k."""
-        k %= m
-        row = _power_rows(m)[k]
-        return Cyc(m, row, 1)
+        v = [0] * euler_phi(m)
+        for t, c in _power_rows(m)[k % m]:
+            v[t] = c
+        return _make(m, tuple(v), 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -161,10 +174,10 @@ class Cyc:
         return tuple(Fraction(a, self.den) for a in self.num)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.num)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(a == 0 for a in self.num[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -180,32 +193,29 @@ class Cyc:
         if m2 > CONDUCTOR_CAP:
             raise ConductorError(f"conductor {m2} exceeds cap {CONDUCTOR_CAP}")
         step = m2 // self.m
-        phi2 = euler_phi(m2)
         rows = _power_rows(m2)
-        out = [0] * phi2
+        out = [0] * euler_phi(m2)
         for i, a in enumerate(self.num):
             if a:
-                row = rows[i * step]
-                for t in range(phi2):
-                    if row[t]:
-                        out[t] += a * row[t]
-        return Cyc(m2, tuple(out), self.den)
+                for t, c in rows[i * step]:
+                    out[t] += a * c
+        return _reduced(m2, out, self.den)
 
     def galois(self, k: int) -> "Cyc":
         """Image under zeta_m -> zeta_m^k; requires gcd(k, m) = 1."""
-        k %= self.m
-        if gcd(k, self.m) != 1:
-            raise ValueError(f"zeta -> zeta^{k} is not an automorphism of Q(zeta_{self.m})")
-        rows = _power_rows(self.m)
-        phi = len(self.num)
-        out = [0] * phi
+        m = self.m
+        k %= m
+        if gcd(k, m) != 1:
+            raise ValueError(f"zeta -> zeta^{k} is not an automorphism of Q(zeta_{m})")
+        rows = _power_rows(m)
+        out = [0] * len(self.num)
         for i, a in enumerate(self.num):
             if a:
-                row = rows[(i * k) % self.m]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += a * row[t]
-        return Cyc(self.m, tuple(out), self.den)
+                for t, c in rows[(i * k) % m]:
+                    out[t] += a * c
+        # sigma_k is a unimodular Z-linear map of Z[zeta_m], so it keeps the
+        # content of the numerator and the image is already in lowest terms
+        return _make(m, tuple(out), self.den)
 
     def conj(self) -> "Cyc":
         """Complex conjugation, zeta_m -> zeta_m^(m-1)."""
@@ -228,46 +238,59 @@ class Cyc:
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
+        if type(other) is Cyc and other.m == self.m:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
+            if a is NotImplemented:
+                return NotImplemented
         if a.den == b.den:
-            num = [x + y for x, y in zip(a.num, b.num)]
-            return Cyc(a.m, tuple(num), a.den)
-        num = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
-        return Cyc(a.m, tuple(num), a.den * b.den)
+            return _reduced(a.m, [x + y for x, y in zip(a.num, b.num)], a.den)
+        ad, bd = a.den, b.den
+        return _reduced(a.m, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.m, tuple(-a for a in self.num), self.den, _normalized=True)
+        return _make(self.m, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
+        if type(other) is Cyc and other.m == self.m:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
+            if a is NotImplemented:
+                return NotImplemented
         if a.den == b.den:
-            num = [x - y for x, y in zip(a.num, b.num)]
-            return Cyc(a.m, tuple(num), a.den)
-        num = [x * b.den - y * a.den for x, y in zip(a.num, b.num)]
-        return Cyc(a.m, tuple(num), a.den * b.den)
+            return _reduced(a.m, [x - y for x, y in zip(a.num, b.num)], a.den)
+        ad, bd = a.den, b.den
+        return _reduced(a.m, [x * bd - y * ad for x, y in zip(a.num, b.num)], ad * bd)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, p: int, q: int = 1) -> "Cyc":
+        """self * p/q for integers p and q > 0."""
+        return _reduced(self.m, [a * p for a in self.num], self.den * q)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyc(self.m, tuple(a * q.numerator for a in self.num), self.den * q.denominator)
-        if not isinstance(other, Cyc):
+        # same-conductor Cyc first, and Fraction (an ABC) last
+        if type(other) is Cyc and other.m == self.m:
+            a, b = self, other
+        elif isinstance(other, int):
+            return self._scale(other)
+        elif isinstance(other, Cyc):
+            a, b = self._pair(other)
+        elif isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
+        else:
             return NotImplemented
-        a, b = self._pair(other)
-        phi = len(a.num)
+        an, bn = a.num, b.num
+        phi = len(an)
         if phi == 1:
-            return Cyc(a.m, (a.num[0] * b.num[0],), a.den * b.den)
+            return _reduced(a.m, [an[0] * bn[0]], a.den * b.den)
         conv = [0] * (2 * phi - 1)
-        bn = b.num
-        for i, ai in enumerate(a.num):
+        for i, ai in enumerate(an):
             if ai:
                 for j, bj in enumerate(bn):
                     if bj:
@@ -277,52 +300,36 @@ class Cyc:
         for k in range(phi, 2 * phi - 1):
             ck = conv[k]
             if ck:
-                row = rows[k]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += ck * row[t]
-        return Cyc(a.m, tuple(out), a.den * b.den)
+                for t, c in rows[k]:
+                    out[t] += ck * c
+        return _reduced(a.m, out, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
+        """1/x = (prod_{sigma != 1} sigma(x)) / N(x).
+
+        x times the product of its conjugates over the other automorphisms of
+        Q(zeta_m) is the field norm N(x), a nonzero rational; so the inverse is
+        that cofactor scaled by 1/N(x).  The result is checked by multiplying
+        back.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_m)")
         if self.is_rational():
-            q = 1 / self.as_rational()
-            return Cyc.rational(q, self.m)
-        # extended Euclid of the representative against Phi_m over Q
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        a = [Fraction(x, self.den) for x in self.num]
-        # invariant: s * self == r (mod Phi_m)
-        r0, s0 = phi_poly, [Fraction(0)]
-        r1, s1 = list(a), [Fraction(1)]
-
-        def strip(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        strip(r0), strip(r1)
-        while True:
-            if len(r1) == 1:
-                inv_c = 1 / r1[0]
-                s = [c * inv_c for c in s1]
-                break
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, strip(r)
-            s_new = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            s0, s1 = s1, strip(s_new) or [Fraction(0)]
-            if not r1:
-                raise ZeroDivisionError("element shares a factor with Phi_m (corrupt state)")
-        phi = len(self.num)
-        den = 1
-        for c in s:
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = [0] * phi
-        for i, c in enumerate(s[:phi]):
-            vec[i] = c.numerator * (den // c.denominator)
-        result = Cyc(self.m, tuple(vec), den)
+            return Cyc.rational(Fraction(self.den, self.num[0]), self.m)
+        cofactor = None
+        for k in _units(self.m):
+            image = self.galois(k)
+            cofactor = image if cofactor is None else cofactor * image
+        norm = self * cofactor
+        if not norm.is_rational():
+            raise ArithmeticError(f"norm of {self!r} is not rational (corrupt state)")
+        # 1/N(x) = norm.den / norm.num[0]; _scale wants a positive denominator
+        p, q = norm.den, norm.num[0]
+        if q < 0:
+            p, q = -p, -q
+        result = cofactor._scale(p, q)
         check = result * self
         if not (check.is_rational() and check.as_rational() == 1):
             raise ArithmeticError("inverse verification failed")
@@ -357,12 +364,12 @@ class Cyc:
     # -- comparisons / misc -------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is Cyc and other.m == self.m:
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.as_rational() == other
         if not isinstance(other, Cyc):
             return NotImplemented
-        if self.m == other.m:
-            return self.num == other.num and self.den == other.den
         a, b = self._pair(other)
         return a.num == b.num and a.den == b.den
 
@@ -395,35 +402,6 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc({self.m}: {self})"
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, a
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # Named algebraic constants, realized inside cyclotomic fields as the paper

@@ -118,8 +118,10 @@ class Poly2:
         return Poly2({m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyc)):
-            return self.scale(other)
+        if type(other) is not Poly2:
+            if isinstance(other, (int, Fraction, Cyc)):
+                return self.scale(other)
+            return NotImplemented
         out: dict[Monomial, Cyc] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -4,12 +4,13 @@ appendix integrality identities.
 
 An element is (w, gammas): the matrix diag(gamma_1..gamma_n) P_w, sending
 e_j to e_{w(j)} gamma_{w(j)}.  Membership requires gamma_1...gamma_n in
-Delta.  Reflections are detected by the exact structural criterion (the
-permutation part is the identity or a transposition and the cycle product
-is 1), and every candidate is confirmed by the complex-codimension-2 kernel
-computation in the 2n-dimensional complex restriction; tests certify on
-small groups that the criterion equals the kernel condition element by
-element.
+Delta.  The reflections are enumerated from their two known shapes (a
+transposition whose two entries multiply to 1, or the identity permutation
+with a single entry in Delta - {1}) in O(N), with no scan of W, and every
+one is confirmed by the complex-codimension-2 kernel computation in the
+2n-dimensional complex restriction.  Tests certify on small groups that the
+enumeration equals an element-by-element scan of W and that the structural
+criterion equals the kernel condition.
 """
 
 from __future__ import annotations
@@ -122,36 +123,41 @@ class Reflection(NamedTuple):
 
 
 def reflections(ctx: WreathContext, confirm: bool = True) -> list[Reflection]:
-    """All elements with quaternionic fix-space codimension 1.
+    """All elements with quaternionic fix-space codimension 1, built from
+    their two shapes rather than found by a scan of W.
 
-    Scans every element with the structural criterion; each hit is confirmed
-    by the complex-codimension-2 kernel computation when confirm is True.
+    Type b: the identity permutation with one coordinate delta in Delta - {1}.
+    Type a: the transposition (p q), p < q, with gamma_p = gamma and
+    gamma_q = gamma^{-1} for each gamma in Gamma.  The list comes in the order
+    of ``ctx.raw_elements()``.  Each reflection is confirmed by the
+    complex-codimension-2 kernel computation when confirm is True, and the
+    count is checked against N = C(n, 2)|Gamma| + n(|Delta| - 1).
     """
-    group, n = ctx.group, ctx.n
-    mult = group.mult
-    ident_perm = tuple(range(n))
+    group, sub, n = ctx.group, ctx.sub, ctx.n
+    ident = tuple(range(n))
     out: list[Reflection] = []
-    for w, gammas in ctx.raw_elements():
-        if w == ident_perm:
-            nontrivial = [i for i, g in enumerate(gammas) if g != 0]
-            if len(nontrivial) == 1:
-                p = nontrivial[0]
-                out.append(Reflection(MonomialElement(w, gammas), "b", p, p, gammas[p]))
-            continue
-        moved = [i for i in range(n) if w[i] != i]
-        if len(moved) != 2:
-            continue
-        p, q = moved
-        if any(gammas[i] != 0 for i in range(n) if i not in (p, q)):
-            continue
-        if mult[gammas[p]][gammas[q]] != 0:
-            continue
-        out.append(Reflection(MonomialElement(w, gammas), "a", p, q, gammas[p]))
+    for p in range(n):
+        for d in sub.indices:
+            if d != 0:
+                gammas = (0,) * p + (d,) + (0,) * (n - 1 - p)
+                out.append(Reflection(MonomialElement(ident, gammas), "b", p, p, d))
+    for p, q in itertools.combinations(range(n), 2):
+        w = ident[:p] + (q,) + ident[p + 1:q] + (p,) + ident[q + 1:]
+        for g in range(group.order):
+            gammas = [0] * n
+            gammas[p], gammas[q] = g, group.inv[g]
+            out.append(Reflection(MonomialElement(w, tuple(gammas)), "a", p, q, g))
+    # raw_elements() order: gamma_1..gamma_{n-1}, then the position in
+    # sub.indices of gamma_1...gamma_n (delta for type b, 1 for type a), then
+    # w, as itertools.permutations is lexicographic
+    position = {d: i for i, d in enumerate(sub.indices)}
+    out.sort(key=lambda r: (r.element.gammas[:-1],
+                            position[r.gamma if r.kind == "b" else 0], r.element.perm))
     if confirm:
         for r in out:
             if ctx.complex_codim_of_fix(r.element) != 2:
                 raise AssertionError(f"candidate {r} fails the kernel confirmation")
-    expected = _n_formula(group.order, ctx.sub.order, n)
+    expected = _n_formula(group.order, sub.order, n)
     if len(out) != expected:
         raise AssertionError(
             f"enumerated {len(out)} reflections, formula gives {expected}")
@@ -300,7 +306,11 @@ def module_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]) -> bool:
 
 def numerology(ctx: WreathContext) -> NumerologyReport:
     refl = reflections(ctx)
-    planes = hyperplanes(ctx, refl)
+    return _numerology_report(ctx, refl, hyperplanes(ctx, refl))
+
+
+def _numerology_report(ctx: WreathContext, refl: list[Reflection],
+                       planes: list[Hyperplane]) -> NumerologyReport:
     n = ctx.n
     N, Nstar = len(refl), len(planes)
     g = Fraction(2 * N, n)
@@ -343,7 +353,7 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
     subspace computations and are capped by default."""
     refl = reflections(ctx)
     planes = hyperplanes(ctx, refl)
-    report = numerology(ctx)
+    report = _numerology_report(ctx, refl, planes)
     n, m = ctx.n, ctx.group.conductor
     N, Nstar, k = report.N, report.Nstar, report.k
 

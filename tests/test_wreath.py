@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from zerofiber import wreath
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
 from zerofiber.wreath import (
+    MonomialElement,
+    Reflection,
     WreathContext,
     appendix_checks,
     hyperplanes,
@@ -12,10 +15,94 @@ from zerofiber.wreath import (
     reflections,
 )
 
+CATALOGUE = (
+    [f"cyclic:{l}" for l in range(1, 13)]
+    + [f"bd:{n}" for n in range(1, 9)]
+    + ["bt", "bo", "bi"]
+)
+SCAN_ORDER_CAP = 100_000
+
 
 def ctx_of(gamma: str, delta: str, n: int) -> WreathContext:
     g = build_group(GroupSpec.parse(gamma))
     return WreathContext(g, resolve_subgroup(g, delta), n)
+
+
+def deltas_of(gamma: str) -> tuple[str, ...]:
+    return ("whole", "comm", "cyc2") if gamma.startswith("bd:") else ("whole", "comm")
+
+
+def scan_reflections(ctx: WreathContext) -> list[Reflection]:
+    """Every element of W with the structural reflection criterion, in the
+    order of ctx.raw_elements(): the brute-force scan that the enumeration
+    by shape replaced, kept as its oracle."""
+    group, n = ctx.group, ctx.n
+    mult = group.mult
+    ident_perm = tuple(range(n))
+    out: list[Reflection] = []
+    for w, gammas in ctx.raw_elements():
+        if w == ident_perm:
+            nontrivial = [i for i, g in enumerate(gammas) if g != 0]
+            if len(nontrivial) == 1:
+                p = nontrivial[0]
+                out.append(Reflection(MonomialElement(w, gammas), "b", p, p, gammas[p]))
+            continue
+        moved = [i for i in range(n) if w[i] != i]
+        if len(moved) != 2:
+            continue
+        p, q = moved
+        if any(gammas[i] != 0 for i in range(n) if i not in (p, q)):
+            continue
+        if mult[gammas[p]][gammas[q]] != 0:
+            continue
+        out.append(Reflection(MonomialElement(w, gammas), "a", p, q, gammas[p]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "gamma,delta", [(g, d) for g in CATALOGUE for d in deltas_of(g)])
+def test_enumerated_reflections_equal_the_scan(gamma, delta):
+    g = build_group(GroupSpec.parse(gamma))
+    sub = resolve_subgroup(g, delta)
+    for n in (1, 2, 3, 4):
+        ctx = WreathContext(g, sub, n)
+        if n >= 3 and ctx.order > SCAN_ORDER_CAP:
+            continue
+        assert reflections(ctx) == scan_reflections(ctx), (gamma, delta, n)
+
+
+@pytest.mark.parametrize(
+    "gamma,delta,n",
+    [("cyclic:3", "whole", 4), ("cyclic:3", "comm", 4), ("bd:2", "whole", 4),
+     ("bd:2", "cyc2", 4), ("bt", "whole", 4), ("bt", "comm", 4), ("bi", "whole", 3)],
+)
+def test_numerology_beyond_the_scan(gamma, delta, n):
+    """n = 4, and bi whole 3, whose |W| = 10,368,000 was too large to scan."""
+    c = ctx_of(gamma, delta, n)
+    G, D = c.group.order, c.sub.order
+    rep = numerology(c)
+    assert rep.N == (n * (n - 1) // 2) * G + n * (D - 1)
+    assert rep.count_a == (n * (n - 1) // 2) * G and rep.count_b == n * (D - 1)
+    # one hyperplane x_p = gamma x_q per type-a reflection, plus the n
+    # coordinate hyperplanes when Delta is nontrivial
+    assert rep.Nstar == (n * (n - 1) // 2) * G + (n if D > 1 else 0)
+    assert rep.g == (n - 1) * G + 2 * (D - 1)
+    assert rep.irreducible
+
+
+def test_appendix_enumerates_reflections_once(monkeypatch):
+    calls = []
+    original = wreath.reflections
+
+    def counted(ctx, *args, **kwargs):
+        calls.append(ctx)
+        return original(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(wreath, "reflections", counted)
+    for gamma, delta, n in [("cyclic:3", "whole", 2), ("bi", "whole", 2)]:
+        calls.clear()
+        appendix_checks(ctx_of(gamma, delta, n))
+        assert len(calls) == 1
 
 
 def test_wreath_orders():
