@@ -11,12 +11,13 @@ integrality sieve.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, hermitian_sum
 from .groups import FiniteGroup, GroupSpec, Subgroup, build_group, commutator_subgroup
 
 
@@ -50,12 +51,15 @@ class ClassFunction:
 
 
 def inner_product(group: FiniteGroup, a: ClassFunction, b: ClassFunction) -> Fraction:
-    """(1/|G|) sum_g a(g) conj(b(g)); exact, and rational for our uses."""
-    acc = Cyc.zero(group.conductor)
-    for cls, va, vb in zip(group.classes, a.values, b.values):
-        acc = acc + va * vb.conj() * len(cls)
-    acc = acc * Fraction(1, group.order)
-    return acc.as_rational()
+    """(1/|G|) sum_g a(g) conj(b(g)); exact, and rational for our uses.
+
+    One fused sum over the classes, weighted by class size: each value
+    a_i z^i times conj(b_j z^j) lands in slot (i - j) mod m of a single
+    integer vector (see ``hermitian_sum``).  Raises ``ValueError`` when the
+    result is not rational.
+    """
+    acc = hermitian_sum(map(len, group.classes), a.values, b.values)
+    return acc.as_rational() / group.order
 
 
 def value_at_element(group: FiniteGroup, chi: ClassFunction, idx: int) -> Cyc:
@@ -336,11 +340,11 @@ def validate_table(group: FiniteGroup, chars: list[ClassFunction]) -> None:
             if ip != (1 if i == j else 0):
                 raise AssertionError(f"rows {i},{j} have inner product {ip}")
     # column orthogonality
+    ones = [1] * k
     for c1 in range(k):
+        col1 = [chi.values[c1] for chi in chars]
         for c2 in range(c1, k):
-            acc = Cyc.zero(group.conductor)
-            for chi in chars:
-                acc = acc + chi.values[c1] * chi.values[c2].conj()
+            acc = hermitian_sum(ones, col1, [chi.values[c2] for chi in chars])
             expected = Fraction(group.order, len(group.classes[c1])) if c1 == c2 else 0
             if not (acc.is_rational() and acc.as_rational() == expected):
                 raise AssertionError(f"columns {c1},{c2} fail orthogonality")
@@ -349,13 +353,27 @@ def validate_table(group: FiniteGroup, chars: list[ClassFunction]) -> None:
     if total != group.order:
         raise AssertionError(f"sum of squared degrees {total} != |G| = {group.order}")
     # integrality of tensor decomposition against the defining character
+    mckay_multiplicities(group, chars)
+
+
+def mckay_multiplicities(group: FiniteGroup,
+                         chars: Sequence[ClassFunction]) -> tuple[tuple[int, ...], ...]:
+    """The matrix m_ij = <chi_i * chi_V, chi_j> of McKay multiplicities.
+
+    Raises ``AssertionError`` on an entry that is negative or not an integer.
+    """
     chi_v = defining_character(group)
+    rows = []
     for chi in chars:
         prod = chi * chi_v
+        row = []
         for psi in chars:
             mult = inner_product(group, prod, psi)
             if mult.denominator != 1 or mult < 0:
                 raise AssertionError("non-integral McKay multiplicity")
+            row.append(int(mult))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction] | None:
@@ -407,7 +425,7 @@ def character_table(spec: GroupSpec) -> tuple[ClassFunction, ...]:
         chars = _stored_table(group)
     chars = _sorted_rows(group, chars)
     validate_table(group, chars)
-    if spec.family in ("cyclic", "bd") or spec.family in ("bt", "bo"):
+    if spec.family != "bi":
         sieve = _mckay_sieve(group)
         if sieve is None:
             raise AssertionError(f"McKay sieve unexpectedly stalled for {spec}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 # Largest conductor a computation context may request.  Promotions past this
 # raise: it signals runaway lcm growth, not a legitimate computation.
@@ -402,6 +402,50 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc({self.m}: {self})"
+
+
+def hermitian_sum(weights, xs, ys) -> Cyc:
+    """sum_k w_k * x_k * conj(y_k) for integers w_k and Cyc values x_k, y_k.
+
+    conj(z^j) = z^(m-j), so a_i z^i * conj(b_j z^j) = a_i b_j z^((i-j) mod m):
+    each term adds w*a_i*b_j into slot (i - j) mod m of one integer vector,
+    a value of Z[z]/(z^m - 1).  That vector is reduced mod Phi_m and divided
+    by its content once, at the end, so no Cyc is built per term.  The terms
+    share one running common denominator; the vector is rescaled only when a
+    term's denominator does not divide it.  Operands of other conductors are
+    lifted to the lcm conductor first.
+    """
+    terms = list(zip(weights, xs, ys))
+    m = lcm(*{v.m for _, x, y in terms for v in (x, y)})
+    if m > CONDUCTOR_CAP:
+        raise ConductorError(f"conductor lcm {m} exceeds cap {CONDUCTOR_CAP}")
+    # slot (i - j) mod m is kept as acc[i - j + m] and folded in at the end:
+    # acc[k] + acc[k + m], since z^m = 1
+    acc = [0] * (2 * m)
+    den = 1
+    for w, x, y in terms:
+        x, y = x.lift(m), y.lift(m)
+        d = x.den * y.den
+        if den % d:
+            scale = d // gcd(den, d)
+            acc = [v * scale for v in acc]
+            den *= scale
+        w *= den // d
+        conj_y = [(m - j, b) for j, b in enumerate(y.num) if b]
+        for i, a in enumerate(x.num):
+            if a:
+                wa = w * a
+                for shift, b in conj_y:
+                    acc[i + shift] += wa * b
+    phi = euler_phi(m)
+    out = [acc[k] + acc[k + m] for k in range(phi)]
+    rows = _power_rows(m)
+    for k in range(phi, m):
+        ck = acc[k] + acc[k + m]
+        if ck:
+            for t, c in rows[k]:
+                out[t] += ck * c
+    return _reduced(m, out, den)
 
 
 # Named algebraic constants, realized inside cyclotomic fields as the paper

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
-from .characters import ClassFunction, character_table, defining_character, inner_product, kernel_contains
-from .cyclotomic import Cyc
+from .characters import character_table, kernel_contains, mckay_multiplicities
 from .groups import FiniteGroup, GroupSpec, Subgroup, build_group
 
 Vector = tuple[int, ...]
@@ -93,19 +94,8 @@ def _identify_affine_type(adj, dims) -> str:
 def mckay_graph(spec: GroupSpec) -> McKayGraph:
     group = build_group(spec)
     chars = character_table(spec)
-    chi_v = defining_character(group)
     n = len(chars)
-    adj = []
-    for i in range(n):
-        prod = chars[i] * chi_v
-        row = []
-        for j in range(n):
-            m = inner_product(group, prod, chars[j])
-            if m.denominator != 1 or m < 0:
-                raise AssertionError("non-integer McKay multiplicity")
-            row.append(int(m))
-        adj.append(tuple(row))
-    adj = tuple(adj)
+    adj = mckay_multiplicities(group, chars)
     for i in range(n):
         for j in range(n):
             if adj[i][j] != adj[j][i]:
@@ -118,23 +108,11 @@ def mckay_graph(spec: GroupSpec) -> McKayGraph:
         s = 2 * dims[i] - sum(adj[i][j] * dims[j] for j in range(n))
         if s != 0:
             raise AssertionError("dims vector is not in the affine Cartan kernel")
-    if n > 1:
-        # connectivity
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in range(n):
-                    if adj[v][w] and w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != n:
-            raise AssertionError("McKay graph is not connected")
-    affine_type = _identify_affine_type(adj, dims)
     linear = tuple(i for i, d in enumerate(dims) if d == 1)
-    return McKayGraph(spec, adj, dims, affine_type, linear)
+    graph = McKayGraph(spec, adj, dims, _identify_affine_type(adj, dims), linear)
+    if -1 in graph.distance_from_zero():
+        raise AssertionError("McKay graph is not connected")
+    return graph
 
 
 @dataclass(frozen=True)
@@ -149,10 +127,11 @@ class RootContext:
         return self.graph.dims
 
     def pairing(self, alpha: Vector, beta: Vector) -> int:
-        """Symmetrized Cartan pairing (alpha, beta) in the simply-laced lattice."""
-        cartan = self.graph.affine_cartan()
-        n = self.graph.size
-        return sum(alpha[i] * cartan[i][j] * beta[j] for i in range(n) for j in range(n))
+        """Symmetrized Cartan pairing (alpha, beta) = 2 alpha.beta - alpha^T A beta
+        in the simply-laced lattice, A the McKay adjacency."""
+        adj = self.graph.adjacency
+        cross = sum(a * sum(map(mul, row, beta)) for a, row in zip(alpha, adj) if a)
+        return 2 * sum(map(mul, alpha, beta)) - cross
 
 
 def _simple_root(n: int, i: int) -> Vector:
@@ -171,7 +150,7 @@ def root_context(spec: GroupSpec) -> RootContext:
     cartan = graph.affine_cartan()
 
     def pair_simple(alpha: Vector, i: int) -> int:
-        return sum(cartan[i][j] * alpha[j] for j in range(n))
+        return sum(map(mul, cartan[i], alpha))
 
     roots: set[Vector] = {_simple_root(n, i) for i in finite}
     frontier = set(roots)
@@ -216,25 +195,38 @@ def dot(c: tuple[Fraction, ...], v: Vector) -> Fraction:
     return sum((ci * vi for ci, vi in zip(c, v)), Fraction(0))
 
 
+def _cleared(c: tuple[Fraction, ...]) -> tuple[Vector, int]:
+    """(C, L) with L the lcm of c's denominators and C = L*c integral."""
+    lcd = lcm(*(ci.denominator for ci in c))
+    return tuple(ci.numerator * (lcd // ci.denominator) for ci in c), lcd
+
+
+def _idot(u: Vector, v: Vector) -> int:
+    return sum(map(mul, u, v))
+
+
 def all_roots_with_pairing_zero(ctx: RootContext, c: tuple[Fraction, ...]) -> list[Vector]:
     """All positive real roots n*delta + beta with (n delta + beta) . c = 0.
 
-    Requires c . delta != 0 so the search is finite."""
+    Requires c . delta != 0 so the search is finite.  With C = L*c integral,
+    the real root n delta + s beta (beta a finite positive root, s = +-1) pairs
+    to zero with c exactly when n = -s (C.beta) / (C.delta); it is positive
+    when n > 0, or n = 0 and s = +1.  Solving for n gives every solution of
+    the scan over n <= max|c.beta| / |c.delta| + 1, since that bound holds
+    for each of them.
+    """
+    big_c, _ = _cleared(c)
     delta = ctx.delta
-    cd = dot(c, delta)
+    cd = _idot(big_c, delta)
     if cd == 0:
         raise ValueError("c . delta = 0 gives an infinite root search")
-    finite_roots = list(ctx.positive_roots) + [tuple(-x for x in r) for r in ctx.positive_roots]
-    bound = max((abs(dot(c, beta)) for beta in finite_roots), default=Fraction(0))
-    nmax = int(bound / abs(cd)) + 1
     out = []
-    for nn in range(nmax + 1):
-        for beta in finite_roots:
-            if nn == 0 and min(beta) < 0:
-                continue
-            root = tuple(nn * d + b for d, b in zip(delta, beta))
-            if dot(c, root) == 0:
-                out.append(root)
+    for beta in ctx.positive_roots:
+        cb = _idot(big_c, beta)
+        for s in (1, -1):
+            nn, r = divmod(-s * cb, cd)
+            if r == 0 and (nn > 0 or (nn == 0 and s == 1)):
+                out.append(tuple(nn * d + s * b for d, b in zip(delta, beta)))
     return sorted(set(out))
 
 
@@ -255,7 +247,6 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
         raise ValueError("alpha must be a finite positive root")
     n = ctx.graph.size
     delta = ctx.delta
-    finite_roots = [r for r in ctx.positive_roots]
     primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093]
     for attempt, p in enumerate(primes):
         # c_k = base_k / p; each retry changes the quadratic base_k, since a
@@ -274,15 +265,8 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
         c = tuple(cand)
         if dot(c, alpha) != 0 or dot(c, delta) != 1:
             continue
-        ok = True
-        for beta in finite_roots:
-            if beta == alpha:
-                continue
-            val = dot(c, beta)
-            if val.denominator == 1:
-                ok = False
-                break
-        if ok:
+        big_c, lcd = _cleared(c)
+        if all(beta == alpha or _idot(big_c, beta) % lcd for beta in ctx.positive_roots):
             result = sigma_c(ctx, c)
             if result != (alpha,):
                 raise AssertionError("certified c does not give Sigma_c = {alpha}")

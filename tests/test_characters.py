@@ -4,6 +4,7 @@ import pytest
 
 from zerofiber.cyclotomic import Cyc
 from zerofiber.characters import (
+    ClassFunction,
     character_table,
     defining_character,
     inner_product,
@@ -135,3 +136,67 @@ def test_sym2_of_defining_is_the_three_dim_for_bt():
         vals.append(v)
     chars = character_table(GroupSpec.parse("bt"))
     assert any(tuple(vals) == c.values for c in chars)
+
+
+# -- differential oracle for the fused inner product ---------------------------
+
+CATALOGUE = ([f"cyclic:{ell}" for ell in range(1, 13)] + [f"bd:{n}" for n in range(1, 9)]
+             + ["bt", "bo", "bi"])
+
+
+def inner_product_oracle(group, a, b):
+    """The term-by-term Cyc loop: sum over classes of a * conj(b) * |class|."""
+    acc = Cyc.zero(group.conductor)
+    for cls, va, vb in zip(group.classes, a.values, b.values):
+        acc = acc + va * vb.conj() * len(cls)
+    return (acc * Fraction(1, group.order)).as_rational()
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e)
+
+
+def assert_same_inner_products(group, funcs):
+    for a in funcs:
+        for b in funcs:
+            want = outcome(inner_product_oracle, group, a, b)
+            assert outcome(inner_product, group, a, b) == want
+
+
+@pytest.mark.parametrize("spec", CATALOGUE)
+def test_inner_product_matches_cyc_loop(spec):
+    """Every pair from the table, plus chi_V and chi * chi_V."""
+    group = build_group(GroupSpec.parse(spec))
+    chars = character_table(GroupSpec.parse(spec))
+    chi_v = defining_character(group)
+    assert_same_inner_products(group, list(chars) + [chi_v] + [chi * chi_v for chi in chars[:3]])
+
+
+@pytest.mark.parametrize("spec", ["cyclic:3", "cyclic:8", "bd:3", "bt", "bo", "bi"])
+def test_inner_product_matches_cyc_loop_off_characters(spec):
+    """Class functions with a different denominator on each class, and
+    combinations that are not characters (their products can be irrational,
+    and then both sides must raise)."""
+    group = build_group(GroupSpec.parse(spec))
+    chars = character_table(GroupSpec.parse(spec))
+    k = len(chars)
+    funcs = [
+        ClassFunction(tuple(v * Fraction(1, c + 1) for c, v in enumerate(chars[-1].values))),
+        ClassFunction(tuple(v * Fraction(c + 2, 3) for c, v in enumerate(chars[k // 2].values))),
+        chars[1] + chars[-1].scale(3) - chars[0],
+        ClassFunction(tuple(Cyc.zeta(group.conductor, c) for c in range(k))),
+    ]
+    assert_same_inner_products(group, funcs + [chars[0], chars[-1]])
+
+
+def test_inner_product_matches_cyc_loop_on_raw_abelian_group():
+    from zerofiber.groups import builtin_generators, close
+
+    g = close(builtin_generators(GroupSpec("cyclic", 7)))
+    g.spec = None
+    chars = table_for(g)
+    scaled = ClassFunction(tuple(v * Fraction(1, c + 1) for c, v in enumerate(chars[2].values)))
+    assert_same_inner_products(g, list(chars) + [scaled])

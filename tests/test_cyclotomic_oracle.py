@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import Poly, QQ, Rational, cyclotomic_poly, invert, symbols
 
-from zerofiber.cyclotomic import Cyc, euler_phi
+from zerofiber.cyclotomic import Cyc, euler_phi, hermitian_sum
 
 X = symbols("x")
 CONDUCTORS = range(1, 31)
@@ -104,6 +104,26 @@ def test_lift(m, data):
     lifted = a.lift(m * t)
     assert lifted.m == m * t
     assert matches(lifted, to_sympy(a).compose(Poly(X**t, X, domain=QQ)))
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+@PER_CONDUCTOR
+@given(data=st.data())
+def test_hermitian_sum(m, data):
+    """sum_k w_k x_k conj(y_k), with each y_k from a divisor conductor of m:
+    in sympy, conj(y) = y(x^(d-1)) at y's conductor d, lifted by x^(m/d).
+    Denominators up to 12 make the running common denominator change."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    terms = data.draw(st.lists(
+        st.tuples(st.integers(-5, 5), cycs(m), st.sampled_from(divisors).flatmap(cycs)),
+        max_size=4))
+    expected = Poly(0, X, domain=QQ)
+    for w, x, y in terms:
+        conj_y = substitute_power(y, y.m - 1).compose(Poly(X ** (m // y.m), X, domain=QQ))
+        expected += w * to_sympy(x) * conj_y
+    total = hermitian_sum([t[0] for t in terms], [t[1] for t in terms], [t[2] for t in terms])
+    assert total.m == (m if terms else 1)
+    assert matches(total, expected)
 
 
 @pytest.mark.parametrize("m", [1, 16, 20, 24, 28, 30])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
 from zerofiber.mckay import (
     admissible_alpha,
+    all_roots_with_pairing_zero,
     character_of_L,
     dimension_bound_check,
     dot,
@@ -246,3 +248,57 @@ def test_dot_export_contains_labels():
     assert "E6(1)" in text
     assert "alpha=" in text
     assert "trivial-on-delta" in text
+
+
+# -- differential oracle for the integer root search --------------------------
+
+def scan_roots_with_pairing_zero(ctx, c):
+    """The n-bounded Fraction scan: every n delta + beta with beta a finite
+    root and 0 <= n <= max|c.beta| / |c.delta| + 1, negative beta only for
+    n >= 1."""
+    delta = ctx.delta
+    cd = dot(c, delta)
+    finite_roots = list(ctx.positive_roots) + [tuple(-x for x in r) for r in ctx.positive_roots]
+    bound = max((abs(dot(c, beta)) for beta in finite_roots), default=Fraction(0))
+    nmax = int(bound / abs(cd)) + 1
+    out = []
+    for nn in range(nmax + 1):
+        for beta in finite_roots:
+            if nn == 0 and min(beta) < 0:
+                continue
+            root = tuple(nn * d + b for d, b in zip(delta, beta))
+            if dot(c, root) == 0:
+                out.append(root)
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:3", "cyclic:7", "cyclic:12", "bd:2", "bd:5",
+                                  "bt", "bo", "bi"])
+def test_roots_with_pairing_zero_match_the_scan(spec):
+    """Random rational c with small denominators, so that many roots pair to
+    zero (including n = 0 and negative finite roots), and the certified c."""
+    ctx = root_context(S(spec))
+    rng = random.Random(spec)
+    size = ctx.graph.size
+    hits = 0
+    for _ in range(16):
+        c = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(size))
+        if dot(c, ctx.delta) == 0:
+            continue
+        found = all_roots_with_pairing_zero(ctx, c)
+        assert found == scan_roots_with_pairing_zero(ctx, c)
+        hits += len(found)
+    assert hits > 0
+    c = generic_on_hyperplane(ctx, ctx.phi)
+    assert all_roots_with_pairing_zero(ctx, c) == scan_roots_with_pairing_zero(ctx, c)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:30", "bd:12", "bt", "bo", "bi"])
+def test_generic_on_hyperplane_certifies_every_root(spec):
+    """Sigma_c = {alpha} is certified inside generic_on_hyperplane on every
+    finite positive root (435 for A29(1))."""
+    ctx = root_context(S(spec))
+    for alpha in ctx.positive_roots:
+        c = generic_on_hyperplane(ctx, alpha)
+        assert dot(c, alpha) == 0
+        assert dot(c, ctx.delta) == 1
