@@ -1,11 +1,15 @@
 """Exact linear algebra over cyclotomic fields, plus the complex embedding
 of quaternionic matrices and quaternionic row reduction.
 
-Matrices are tuples of row tuples.  Everything is fraction-free in spirit:
-entries are Cyc values and elimination divides exactly.
+Matrices are tuples of row tuples with Cyc entries.  ``rref`` (behind
+``kernel_basis``) divides by its pivots exactly; ``rank`` needs no division
+in the field at all.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclotomic import Cyc
 from .quaternion import Quaternion
@@ -59,7 +63,50 @@ def rref(mat: CycMatrix) -> tuple[CycMatrix, list[int]]:
 
 
 def rank(mat: CycMatrix) -> int:
-    return len(rref(mat)[1])
+    """Rank by a division-free row echelon form, with no Cyc.inverse.
+
+    Below each pivot p = row_r[c], every row with f = row_i[c] != 0 becomes
+    p*row_i - f*row_r (row_i - f*row_r when p = 1): column c is cleared, and
+    as p != 0 the rows below the pivot keep their span.  Each updated row is
+    then divided by its rational content, which leaves it with integer
+    coefficients of gcd 1, so the entries do not grow from step to step.
+    """
+    rows = [list(r) for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = None if top[c] == 1 else top[c]
+        tail = [(j, top[j]) for j in range(c + 1, ncols) if not top[j].is_zero()]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if f.is_zero():
+                continue
+            if p is not None:
+                row[c + 1:] = [v if v.is_zero() else p * v for v in row[c + 1:]]
+            for j, t in tail:
+                row[j] = row[j] - f * t
+            _make_primitive(row, c + 1)
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _make_primitive(row: list[Cyc], start: int) -> None:
+    """Scale a nonzero row[start:] in place by the positive rational that
+    gives it integer coefficients with gcd 1; a zero row[start:] is kept."""
+    den = lcm(*(v.den for v in row[start:]))
+    content = gcd(*(a * (den // v.den) for v in row[start:] for a in v.num))
+    if content and den != content:
+        scale = Fraction(den, content)
+        row[start:] = [v * scale for v in row[start:]]
 
 
 def kernel_basis(mat: CycMatrix) -> list[tuple[Cyc, ...]]:
@@ -78,37 +125,6 @@ def kernel_basis(mat: CycMatrix) -> list[tuple[Cyc, ...]]:
             vec[pc] = -red[r][fc]
         basis.append(tuple(vec))
     return basis
-
-
-def subspace_intersection(a_rows: CycMatrix, b_rows: CycMatrix) -> list[tuple[Cyc, ...]]:
-    """Intersection of two subspaces given by spanning row vectors.
-
-    Computed via stacked kernels: x in span(A) & span(B) iff
-    x = A^T u = B^T v, i.e. (u, v) in ker[A^T | -B^T].
-    """
-    if not a_rows or not b_rows:
-        return []
-    ncols = len(a_rows[0])
-    stacked = tuple(
-        tuple(a_rows[r][c] for r in range(len(a_rows)))
-        + tuple(-b_rows[r][c] for r in range(len(b_rows)))
-        for c in range(ncols)
-    )
-    combos = kernel_basis(stacked)
-    na = len(a_rows)
-    vecs = []
-    for combo in combos:
-        vec = [Cyc.zero(a_rows[0][0].m) for _ in range(ncols)]
-        for r in range(na):
-            if not combo[r].is_zero():
-                for c in range(ncols):
-                    vec[c] = vec[c] + combo[r] * a_rows[r][c]
-        vecs.append(tuple(vec))
-    # independent spanning set for the intersection
-    if not vecs:
-        return []
-    red, pivots = rref(tuple(vecs))
-    return [red[i] for i in range(len(pivots))]
 
 
 # -- quaternionic matrices ---------------------------------------------------
@@ -140,53 +156,49 @@ def quat_rank(qmat: tuple[tuple[Quaternion, ...], ...]) -> int:
     return r // 2
 
 
-def quat_rank_direct(qmat: tuple[tuple[Quaternion, ...], ...]) -> int:
-    """Row rank by Gaussian elimination in the division ring (cross-check)."""
-    rows = [list(r) for r in qmat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def quat_rref_key(rows: tuple[tuple[Quaternion, ...], ...]) -> tuple:
     """Canonical form of the left row space of a quaternionic matrix.
 
     Used to compare subspaces cut out by systems of left-linear equations:
     two systems have the same solution set iff their RREF keys agree.
+
+    The rows are inserted one at a time into a reduced basis: the basis
+    pivots are eliminated from the new row, the row is scaled on the left by
+    the inverse of its leading entry (unless that is already 1), and its pivot
+    column is cleared from the basis rows.  The reduced row echelon form of a
+    row space is unique, so this gives the same rows as a column-by-column
+    Gauss-Jordan pass.  Once the basis has one row per column it spans the
+    whole space, its RREF is the identity whatever rows remain, and the
+    insertion stops.
     """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not work[i][c].is_zero()), None)
-        if pivot is None:
+    ncols = len(rows[0]) if rows else 0
+    basis: list[list[Quaternion]] = []
+    pivots: list[int] = []
+    for row in rows:
+        new = list(row)
+        for b, c in zip(basis, pivots):
+            f = new[c]
+            if not f.is_zero():
+                new = _left_axpy(new, f, b)
+        lead = next((j for j in range(ncols) if not new[j].is_zero()), None)
+        if lead is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [inv * v for v in work[r]]
-        for i in range(nrows):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [vi - f * vr for vi, vr in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
+        if new[lead] != Quaternion.one(new[lead].z1.m):
+            inv = new[lead].inverse()
+            new = [v if v.is_zero() else inv * v for v in new]
+        for k, b in enumerate(basis):
+            f = b[lead]
+            if not f.is_zero():
+                basis[k] = _left_axpy(b, f, new)
+        basis.append(new)
+        pivots.append(lead)
+        if len(basis) == ncols:
             break
-    kept = [tuple((q.z1.num, q.z1.den, q.z2.num, q.z2.den) for q in row) for row in work[:r]]
+    kept = [tuple((q.z1.num, q.z1.den, q.z2.num, q.z2.den) for q in row) for row in basis]
     kept.sort()
     return tuple(kept)
+
+
+def _left_axpy(x: list[Quaternion], f: Quaternion, y: list[Quaternion]) -> list[Quaternion]:
+    """x - f*y entrywise, skipping the products with zero entries of y."""
+    return [xi if yi.is_zero() else xi - f * yi for xi, yi in zip(x, y)]

@@ -8,15 +8,20 @@ Delta.  The reflections are enumerated from their two known shapes (a
 transposition whose two entries multiply to 1, or the identity permutation
 with a single entry in Delta - {1}) in O(N), with no scan of W, and every
 one is confirmed by the complex-codimension-2 kernel computation in the
-2n-dimensional complex restriction.  Tests certify on small groups that the
-enumeration equals an element-by-element scan of W and that the structural
-criterion equals the kernel condition.
+2n-dimensional complex restriction.  r - 1 vanishes on every row and column
+of a coordinate that r neither permutes nor scales, so that rank is taken on
+the moved coordinates only: a 2 x 2 block for a reflection of type b and a
+4 x 4 block for type a.  Tests certify on small groups that the enumeration
+equals an element-by-element scan of W, that the structural criterion
+equals the kernel condition, and that the block rank equals the rank of the
+full 2n x 2n matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -66,30 +71,59 @@ class WreathContext:
         for w, gammas in self.raw_elements():
             yield MonomialElement(w, gammas)
 
+    @cached_property
+    def unit_quaternions(self) -> tuple[Quaternion, ...]:
+        """The unit quaternion of each element of Gamma, by element index."""
+        return tuple(quat_from_matrix(mat) for mat in self.group.elements)
+
     def quaternion_matrix(self, el: MonomialElement) -> tuple[tuple[Quaternion, ...], ...]:
-        group, n = self.group, self.n
-        m = group.conductor
-        zero = Quaternion.zero(m)
-        quats = [quat_from_matrix(group.elements[g]) for g in el.gammas]
+        n = self.n
+        zero = Quaternion.zero(self.group.conductor)
+        quats = self.unit_quaternions
         rows = []
         for i in range(n):
             row = [zero] * n
             # column j maps to row w(j); row i is hit by column w^{-1}(i)
-            j = el.perm.index(i)
-            row[j] = quats[i]
+            row[el.perm.index(i)] = quats[el.gammas[i]]
             rows.append(tuple(row))
         return tuple(rows)
 
+    def row_times(self, row: tuple[Quaternion, ...],
+                  el: MonomialElement) -> tuple[Quaternion, ...]:
+        """row * quaternion_matrix(el), from the monomial shape: column j of
+        that matrix has the single entry q(gamma_{w(j)}), in row w(j)."""
+        quats = self.unit_quaternions
+        out = []
+        for j in range(self.n):
+            i = el.perm[j]
+            x, g = row[i], el.gammas[i]
+            out.append(x if g == 0 or x.is_zero() else x * quats[g])
+        return tuple(out)
+
     def complex_codim_of_fix(self, el: MonomialElement) -> int:
-        """rank over C of (r - 1) on the 2n-dimensional complex restriction."""
-        emb = quat_matrix_embed(self.quaternion_matrix(el))
+        """rank over C of (r - 1) on the 2n-dimensional complex restriction.
+
+        Only the coordinates that el moves (perm[i] != i, or gammas[i] not
+        the identity) enter: on any other coordinate i, row i and column i of r - 1 are
+        zero, so dropping them keeps the rank.  The moved coordinates are
+        closed under perm.  On them, r is the block matrix whose block at
+        (w(j), j) is the complex embedding of q(gamma_{w(j)}), which is the
+        group element's own 2 x 2 matrix.
+        """
+        moved = [i for i in range(self.n) if el.perm[i] != i or el.gammas[i] != 0]
+        pos = {i: 2 * k for k, i in enumerate(moved)}
         m = self.group.conductor
-        one = Cyc.one(m)
-        shifted = tuple(
-            tuple(emb[i][j] - one if i == j else emb[i][j] for j in range(2 * self.n))
-            for i in range(2 * self.n)
-        )
-        return rank(shifted)
+        zero, one = Cyc.zero(m), Cyc.one(m)
+        size = 2 * len(moved)
+        mat = [[zero] * size for _ in range(size)]
+        for j in moved:
+            i = el.perm[j]
+            r, s = pos[i], pos[j]
+            a, b, c, d = self.group.elements[el.gammas[i]]
+            mat[r][s], mat[r][s + 1], mat[r + 1][s], mat[r + 1][s + 1] = a, b, c, d
+        for k in range(size):
+            mat[k][k] = mat[k][k] - one
+        return rank(tuple(tuple(row) for row in mat))
 
     def structural_fix_codim(self, el: MonomialElement) -> int:
         """Quaternionic codimension of fix(el) from the cycle structure:
@@ -154,14 +188,19 @@ def reflections(ctx: WreathContext, confirm: bool = True) -> list[Reflection]:
     out.sort(key=lambda r: (r.element.gammas[:-1],
                             position[r.gamma if r.kind == "b" else 0], r.element.perm))
     if confirm:
-        for r in out:
-            if ctx.complex_codim_of_fix(r.element) != 2:
-                raise AssertionError(f"candidate {r} fails the kernel confirmation")
+        confirm_reflections(ctx, out)
     expected = _n_formula(group.order, sub.order, n)
     if len(out) != expected:
         raise AssertionError(
             f"enumerated {len(out)} reflections, formula gives {expected}")
     return out
+
+
+def confirm_reflections(ctx: WreathContext, refl: list[Reflection]) -> None:
+    """Confirm each reflection by the complex-codimension-2 kernel computation."""
+    for r in refl:
+        if ctx.complex_codim_of_fix(r.element) != 2:
+            raise AssertionError(f"candidate {r} fails the kernel confirmation")
 
 
 def _n_formula(gamma_order: int, delta_order: int, n: int) -> int:
@@ -188,8 +227,7 @@ def _alpha_of(ctx: WreathContext, r: Reflection) -> tuple[Quaternion, ...]:
         alpha[r.p] = Quaternion.one(m)
     else:
         alpha[r.p] = Quaternion.one(m)
-        gam = quat_from_matrix(group.elements[r.gamma])
-        alpha[r.q] = -gam.conj()  # -gamma^{-1} for unit gamma
+        alpha[r.q] = -ctx.unit_quaternions[r.gamma].conj()  # -gamma^{-1} for unit gamma
     return tuple(alpha)
 
 
@@ -246,7 +284,6 @@ def module_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]) -> bool:
     if n == 1:
         return True
     group = ctx.group
-    m = group.conductor
 
     gens: list[MonomialElement] = []
     ident = tuple(range(n))
@@ -273,30 +310,22 @@ def module_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]) -> bool:
         gam = tuple(group.inv[el.gammas[el.perm[k]]] for k in range(n))
         return MonomialElement(winv, gam)
 
+    # the equation rows of g.V are those of V times the matrix of g^{-1}
+    inverses = [inverse(el) for el in gens]
+
     def stable(rows: tuple[tuple[Quaternion, ...], ...]) -> bool:
         base = quat_rref_key(rows)
-        for el in gens:
-            ginv = inverse(el)
-            mat = ctx.quaternion_matrix(ginv)
-            moved = tuple(
-                tuple(
-                    sum((row[p] * mat[p][j] for p in range(1, n)), row[0] * mat[0][j])
-                    for j in range(n)
-                )
-                for row in rows
-            )
-            if quat_rref_key(moved) != base:
+        for el in inverses:
+            if quat_rref_key(tuple(ctx.row_times(row, el) for row in rows)) != base:
                 return False
         return True
 
-    def eq_row(alpha: tuple[Quaternion, ...]) -> tuple[Quaternion, ...]:
-        return tuple(q.conj() for q in alpha)
-
-    for h in planes:
-        if stable((eq_row(h.alpha),)):
+    # the equation of H is sum_p conj(alpha_p) x_p = 0
+    total = tuple(tuple(q if q.is_zero() else q.conj() for q in h.alpha) for h in planes)
+    for row in total:
+        if stable((row,)):
             return False
     if planes:
-        total = tuple(eq_row(h.alpha) for h in planes)
         key = quat_rref_key(total)
         depth = len(key)
         if 0 < depth < n and stable(total):
@@ -306,11 +335,13 @@ def module_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]) -> bool:
 
 def numerology(ctx: WreathContext) -> NumerologyReport:
     refl = reflections(ctx)
-    return _numerology_report(ctx, refl, hyperplanes(ctx, refl))
+    return numerology_report(ctx, refl, hyperplanes(ctx, refl))
 
 
-def _numerology_report(ctx: WreathContext, refl: list[Reflection],
-                       planes: list[Hyperplane]) -> NumerologyReport:
+def numerology_report(ctx: WreathContext, refl: list[Reflection],
+                      planes: list[Hyperplane]) -> NumerologyReport:
+    """The report from the reflections and the hyperplanes, after the
+    closed-form checks on g and g + k = 2h and the irreducibility test."""
     n = ctx.n
     N, Nstar = len(refl), len(planes)
     g = Fraction(2 * N, n)
@@ -341,7 +372,9 @@ def _numerology_report(ctx: WreathContext, refl: list[Reflection],
 @dataclass(frozen=True)
 class AppendixReport:
     numerology: NumerologyReport
-    trace_identity: str      # pass | fail is raised instead; skipped(cap)
+    # each verdict is pass, skipped(cap) or, for (ii)-(iv) on a reducible
+    # module, fail(reducible); any other failure raises
+    trace_identity: str
     f_operator: str
     pairing_sum: str
     k_identity: str
@@ -350,12 +383,21 @@ class AppendixReport:
 
 def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixReport:
     """The four appendix identities, exact.  (ii)-(iv) are O(N*^2) exact
-    subspace computations and are capped by default."""
+    subspace computations and are capped by default.  They assume that W
+    acts irreducibly: on a reducible module a failed identity is reported
+    as fail(reducible), while on an irreducible one it raises."""
     refl = reflections(ctx)
     planes = hyperplanes(ctx, refl)
-    report = _numerology_report(ctx, refl, planes)
+    report = numerology_report(ctx, refl, planes)
     n, m = ctx.n, ctx.group.conductor
     N, Nstar, k = report.N, report.Nstar, report.k
+
+    def verdict(failure: str) -> str:
+        if not failure:
+            return "pass"
+        if not report.irreducible:
+            return "fail(reducible)"
+        raise AssertionError(failure)
 
     # (i) sum over reflections of tr_C(1 - r) equals 2(N + N*)
     acc_tr = Cyc.zero(m)
@@ -378,6 +420,8 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
 
     # (ii) f(v) = sum_H alpha_H (alpha_H, v) / (alpha_H, alpha_H) = (k/2) v
     zero_q = Quaternion.zero(m)
+    half_k = Quaternion(Cyc.rational(k / 2, m), Cyc.zero(m))
+    failure = ""
     for i in range(n):
         acc = [zero_q] * n
         for h, nrm in zip(planes, norms):
@@ -386,13 +430,13 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
             scale = Fraction(1, 1) / nrm
             for p in range(n):
                 acc[p] = acc[p] + (h.alpha[p] * coef) * scale
-        for p in range(n):
-            expected = Quaternion(Cyc.rational(k / 2, m), Cyc.zero(m)) if p == i else zero_q
-            if acc[p] != expected:
-                raise AssertionError("f-operator identity fails")
-    f_verdict = "pass"
+        if any(acc[p] != (half_k if p == i else zero_q) for p in range(n)):
+            failure = "f-operator identity fails"
+            break
+    f_verdict = verdict(failure)
 
     # (iii) 2 sum_K |(alpha_K, alpha_H)|^2 / ((alpha_K,alpha_K)(alpha_H,alpha_H)) = k
+    failure = ""
     for h, nh in zip(planes, norms):
         s = Cyc.zero(m)
         for kpl, nk in zip(planes, norms):
@@ -400,10 +444,12 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
             val = hermitian_form(kpl.alpha, h.alpha)
             s = s + val.norm() / (nk * nh)
         if 2 * s != k:
-            raise AssertionError(f"pairing sum fails for a hyperplane: {2 * s} != {k}")
-    pairing_verdict = "pass"
+            failure = f"pairing sum fails for a hyperplane: {2 * s} != {k}"
+            break
+    pairing_verdict = verdict(failure)
 
     # (iv) |A^H| = N* + 1 - k for every H
+    failure = ""
     for h in planes:
         row_h = tuple(q.conj() for q in h.alpha)
         keys = set()
@@ -413,9 +459,9 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
             row_k = tuple(q.conj() for q in kpl.alpha)
             keys.add(quat_rref_key((row_h, row_k)))
         if len(keys) != Nstar + 1 - k:
-            raise AssertionError(
-                f"|A^H| = {len(keys)} != N* + 1 - k = {Nstar + 1 - k}")
-    k_verdict = "pass"
+            failure = f"|A^H| = {len(keys)} != N* + 1 - k = {Nstar + 1 - k}"
+            break
+    k_verdict = verdict(failure)
 
     return AppendixReport(report, trace_verdict, f_verdict, pairing_verdict, k_verdict,
                           not report.irreducible)

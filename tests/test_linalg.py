@@ -1,19 +1,101 @@
 import random
 
-from zerofiber.cyclotomic import Cyc
+import pytest
+
+from zerofiber.cyclotomic import Cyc, euler_phi
 from zerofiber.linalg import (
+    CycMatrix,
     identity,
     kernel_basis,
     mat_mul,
     quat_matrix_embed,
     quat_rank,
-    quat_rank_direct,
     quat_rref_key,
     rank,
     rref,
-    subspace_intersection,
 )
 from zerofiber.quaternion import Quaternion
+
+
+# -- oracles: the earlier implementations, kept as references -----------------
+
+def subspace_intersection(a_rows: CycMatrix, b_rows: CycMatrix) -> list[tuple[Cyc, ...]]:
+    """Intersection of two subspaces given by spanning row vectors.
+
+    Computed via stacked kernels: x in span(A) & span(B) iff
+    x = A^T u = B^T v, i.e. (u, v) in ker[A^T | -B^T].
+    """
+    if not a_rows or not b_rows:
+        return []
+    ncols = len(a_rows[0])
+    stacked = tuple(
+        tuple(a_rows[r][c] for r in range(len(a_rows)))
+        + tuple(-b_rows[r][c] for r in range(len(b_rows)))
+        for c in range(ncols)
+    )
+    combos = kernel_basis(stacked)
+    na = len(a_rows)
+    vecs = []
+    for combo in combos:
+        vec = [Cyc.zero(a_rows[0][0].m) for _ in range(ncols)]
+        for r in range(na):
+            if not combo[r].is_zero():
+                for c in range(ncols):
+                    vec[c] = vec[c] + combo[r] * a_rows[r][c]
+        vecs.append(tuple(vec))
+    # independent spanning set for the intersection
+    if not vecs:
+        return []
+    red, pivots = rref(tuple(vecs))
+    return [red[i] for i in range(len(pivots))]
+
+
+def column_rref(qmat) -> list[list[Quaternion]]:
+    """The nonzero rows of the reduced row echelon form of a quaternionic
+    matrix, by column-by-column Gauss-Jordan elimination in the division
+    ring, with left multiples of rows."""
+    rows = [list(r) for r in qmat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r]
+
+
+def quat_rank_direct(qmat) -> int:
+    """Row rank by Gaussian elimination in the division ring."""
+    return len(column_rref(qmat))
+
+
+def column_rref_key(rows) -> tuple:
+    """quat_rref_key as a column-by-column pass over every row."""
+    kept = [tuple((q.z1.num, q.z1.den, q.z2.num, q.z2.den) for q in row)
+            for row in column_rref(rows)]
+    return tuple(sorted(kept))
+
+
+def rand_cyc(rng: random.Random, m: int, spread: int = 3, den: int = 1) -> Cyc:
+    return Cyc(m, tuple(rng.randint(-spread, spread) for _ in range(euler_phi(m))),
+               rng.randint(1, den))
+
+
+def rand_quat(rng: random.Random, m: int, zero_share: float = 0.0) -> Quaternion:
+    if rng.random() < zero_share:
+        return Quaternion.zero(m)
+    return Quaternion(rand_cyc(rng, m, 2), rand_cyc(rng, m, 2))
 
 
 def test_identity_full_rank():
@@ -139,3 +221,59 @@ def test_rref_shape():
     red, pivots = rref(m)
     assert pivots == [0]
     assert red[0] == (one, one)
+
+
+def random_matrix(rng: random.Random, m: int, nrows: int, ncols: int, rank_at_most: int,
+                  den: int = 1) -> CycMatrix:
+    """Rows drawn as random combinations of rank_at_most random rows, so the
+    rank is at most rank_at_most (and equal to it in the generic case)."""
+    gens = [[rand_cyc(rng, m, 3, den) for _ in range(ncols)] for _ in range(rank_at_most)]
+    zero = Cyc.zero(m)
+    rows = []
+    for _ in range(nrows):
+        coefs = [rand_cyc(rng, m, 2, den) if rng.random() < 0.7 else zero for _ in gens]
+        row = [zero] * ncols
+        for a, g in zip(coefs, gens):
+            row = [x + a * y for x, y in zip(row, g)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 12])
+def test_division_free_rank_matches_rref(m, monkeypatch):
+    rng = random.Random(100 + m)
+    cases = []
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        full = min(nrows, ncols)
+        cases.append(random_matrix(rng, m, nrows, ncols, full, den=rng.choice((1, 3))))
+        cases.append(random_matrix(rng, m, nrows, ncols, rng.randint(0, max(full - 1, 0))))
+    expected = [len(rref(mat)[1]) for mat in cases]
+    assert any(e == min(len(c), len(c[0])) for e, c in zip(expected, cases))
+    assert any(e < min(len(c), len(c[0])) for e, c in zip(expected, cases))
+
+    def no_inverse(self):
+        raise AssertionError("rank took a Cyc inverse")
+
+    monkeypatch.setattr(Cyc, "inverse", no_inverse)
+    assert [rank(mat) for mat in cases] == expected
+
+
+def test_quat_rref_key_matches_column_oracle_on_random_rows():
+    rng = random.Random(29)
+    for m in (4, 8, 12):
+        for _ in range(60):
+            ncols = rng.randint(1, 4)
+            gens = [[rand_quat(rng, m, 0.3) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, ncols))]
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                row = [Quaternion.zero(m)] * ncols
+                for g in gens:
+                    f = rand_quat(rng, m, 0.4)
+                    row = [x + f * y for x, y in zip(row, g)]
+                rows.append(tuple(row))
+            rows = tuple(rows)
+            key = quat_rref_key(rows)
+            assert key == column_rref_key(rows)
+            assert len(key) == quat_rank_direct(rows) == quat_rank(rows)

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from test_linalg import column_rref_key, rand_quat
 from zerofiber import wreath
+from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
+from zerofiber.linalg import quat_matrix_embed, rref
+from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import (
     MonomialElement,
     Reflection,
@@ -21,6 +25,8 @@ CATALOGUE = (
     + ["bt", "bo", "bi"]
 )
 SCAN_ORDER_CAP = 100_000
+# uncapped appendix_checks in the catalogue sweep: about 3 s for the |W| <= 500 cases
+APPENDIX_SWEEP_ORDER_CAP = 500
 
 
 def ctx_of(gamma: str, delta: str, n: int) -> WreathContext:
@@ -57,6 +63,16 @@ def scan_reflections(ctx: WreathContext) -> list[Reflection]:
             continue
         out.append(Reflection(MonomialElement(w, gammas), "a", p, q, gammas[p]))
     return out
+
+
+def dense_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
+    """rank of r - 1 on the full 2n-dimensional complex restriction: the
+    dense computation that the block rank on the moved coordinates replaced."""
+    emb = quat_matrix_embed(ctx.quaternion_matrix(el))
+    one = Cyc.one(ctx.group.conductor)
+    shifted = tuple(tuple(v - one if i == j else v for j, v in enumerate(row))
+                    for i, row in enumerate(emb))
+    return len(rref(shifted)[1])
 
 
 @pytest.mark.parametrize(
@@ -128,13 +144,32 @@ def test_iterator_counts_match_formula():
 
 
 def test_structural_codim_equals_kernel_codim_bruteforce():
-    # the structural criterion is exactly half the complex codimension,
-    # element by element, on groups small enough to brute force
+    # the structural criterion is exactly half the complex codimension, and
+    # the block rank equals the dense rank, element by element, on groups
+    # small enough to brute force (|W| <= 1152)
     for gamma, delta, n in [("cyclic:2", "whole", 2), ("cyclic:3", "whole", 2),
-                            ("bd:1", "whole", 2), ("cyclic:2", "whole", 3)]:
+                            ("bd:1", "whole", 2), ("cyclic:2", "whole", 3),
+                            ("cyclic:3", "whole", 3), ("bd:2", "cyc2", 2),
+                            ("bt", "comm", 2), ("cyclic:5", "whole", 3), ("bt", "whole", 2)]:
         c = ctx_of(gamma, delta, n)
         for el in c.elements():
-            assert 2 * c.structural_fix_codim(el) == c.complex_codim_of_fix(el)
+            assert (2 * c.structural_fix_codim(el) == c.complex_codim_of_fix(el)
+                    == dense_codim_of_fix(c, el))
+
+
+def test_row_times_equals_the_dense_product():
+    rng = random.Random(71)
+    for gamma, delta, n in [("bd:3", "whole", 3), ("bt", "comm", 2), ("cyclic:5", "whole", 4)]:
+        c = ctx_of(gamma, delta, n)
+        m = c.group.conductor
+        elements = list(c.elements())
+        for _ in range(60):
+            el = rng.choice(elements)
+            row = tuple(rand_quat(rng, m, 0.3) for _ in range(n))
+            mat = c.quaternion_matrix(el)
+            dense = tuple(sum((row[p] * mat[p][j] for p in range(n)), Quaternion.zero(m))
+                          for j in range(n))
+            assert c.row_times(row, el) == dense
 
 
 @pytest.mark.parametrize(
@@ -298,3 +333,61 @@ def test_numerology_non_rational_pivot_norms(gamma):
 def test_appendix_uncapped_non_rational_pairings():
     rep = appendix_checks(ctx_of("bd:4", "whole", 2), enforce_caps=False)
     assert rep.trace_identity == rep.f_operator == rep.pairing_sum == rep.k_identity == "pass"
+
+
+def reducible_in_catalogue(gamma: str, delta: str, n: int) -> bool:
+    return (gamma == "cyclic:1" and n >= 2) or (gamma, delta, n) == ("cyclic:2", "comm", 2)
+
+
+@pytest.mark.parametrize(
+    "gamma,delta", [(g, d) for g in CATALOGUE for d in deltas_of(g)])
+def test_numerology_catalogue_sweep(gamma, delta):
+    """numerology on every catalogue (Gamma, Delta) at n = 1-3, with the
+    dense kernel rank of every reflection, the column-by-column RREF key of
+    the arrangement and of random subsets of it, and uncapped appendix
+    checks where |W| <= APPENDIX_SWEEP_ORDER_CAP."""
+    g = build_group(GroupSpec.parse(gamma))
+    sub = resolve_subgroup(g, delta)
+    G, D = g.order, sub.order
+    rng = random.Random(f"{gamma} {delta}")
+    for n in (1, 2, 3):
+        c = WreathContext(g, sub, n)
+        rep = numerology(c)
+        pairs = n * (n - 1) // 2
+        assert (rep.count_a, rep.count_b) == (pairs * G, n * (D - 1))
+        assert rep.N == rep.count_a + rep.count_b
+        assert rep.Nstar == pairs * G + (n if D > 1 else 0)
+        assert rep.g == (n - 1) * G + 2 * (D - 1)
+        assert rep.h == Fraction(rep.N + rep.Nstar, n) and rep.g + rep.k == 2 * rep.h
+        assert rep.irreducible == (not reducible_in_catalogue(gamma, delta, n))
+
+        refl = reflections(c, confirm=False)
+        assert all(dense_codim_of_fix(c, r.element) == 2 for r in refl)
+        eqs = [tuple(q.conj() for q in h.alpha) for h in hyperplanes(c, refl)]
+        subsets = [tuple(eqs)] + [tuple(rng.sample(eqs, rng.randint(1, min(len(eqs), n + 2))))
+                                  for _ in range(10 if eqs else 0)]
+        for rows in subsets:
+            assert wreath.quat_rref_key(rows) == column_rref_key(rows)
+
+        if c.order <= APPENDIX_SWEEP_ORDER_CAP:
+            app = appendix_checks(c, enforce_caps=False)
+            # W_2(Z/2, 1) is reducible, yet its identities hold
+            v = "fail(reducible)" if gamma == "cyclic:1" and n >= 2 else "pass"
+            assert (app.trace_identity, app.f_operator, app.pairing_sum,
+                    app.k_identity) == ("pass", v, v, v)
+
+
+@pytest.mark.parametrize("gamma,delta,n", [("cyclic:1", "whole", 2), ("cyclic:1", "comm", 2),
+                                           ("cyclic:1", "whole", 3), ("cyclic:1", "comm", 3)])
+def test_appendix_on_a_reducible_module_reports_instead_of_raising(gamma, delta, n):
+    rep = appendix_checks(ctx_of(gamma, delta, n), enforce_caps=False)
+    assert not rep.numerology.irreducible and rep.irreducibility_warning
+    assert rep.trace_identity == "pass"
+    assert rep.f_operator == rep.pairing_sum == rep.k_identity == "fail(reducible)"
+
+
+def test_appendix_raises_when_an_irreducible_module_fails(monkeypatch):
+    # claim irreducibility for W_2(1, 1) = S_2, whose identities (ii)-(iv) fail
+    monkeypatch.setattr(wreath, "module_is_irreducible", lambda ctx, planes: True)
+    with pytest.raises(AssertionError, match="f-operator"):
+        appendix_checks(ctx_of("cyclic:1", "whole", 2), enforce_caps=False)
