@@ -448,12 +448,3 @@ def _sorted_rows(group: FiniteGroup, chars: list[ClassFunction]) -> list[ClassFu
     rest.sort(key=key)
     return [triv] + rest
 
-
-def table_for(group: FiniteGroup) -> tuple[ClassFunction, ...]:
-    if group.spec is not None:
-        return character_table(group.spec)
-    if group.is_abelian():
-        chars = _sorted_rows(group, _abelian_table(group))
-        validate_table(group, chars)
-        return tuple(chars)
-    raise ValueError("character tables are available for catalogue or abelian groups only")

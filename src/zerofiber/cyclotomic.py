@@ -448,20 +448,9 @@ def hermitian_sum(weights, xs, ys) -> Cyc:
     return _reduced(m, out, den)
 
 
-# Named algebraic constants, realized inside cyclotomic fields as the paper
-# uses them: sqrt5 via the Gauss sum in Q(zeta_5), sqrt(-3) in Q(zeta_3).
+# The named algebraic constant the paper uses: sqrt5, realized as the Gauss
+# sum in Q(zeta_5).
 
 def sqrt5(m: int = 5) -> Cyc:
     z = Cyc.zeta(5)
     return (z - z ** 2 - z ** 3 + z ** 4).lift(m) if m != 5 else z - z ** 2 - z ** 3 + z ** 4
-
-
-def sqrt_minus3(m: int = 3) -> Cyc:
-    v = Cyc.rational(1, 3) + Cyc.zeta(3) * 2
-    return v.lift(m) if m != 3 else v
-
-
-def imag_unit(m: int = 4) -> Cyc:
-    if m % 4 != 0:
-        raise ConductorError(f"i requires 4 | conductor, got {m}")
-    return Cyc.zeta(m, m // 4)

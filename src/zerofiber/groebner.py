@@ -8,6 +8,7 @@ come for free from the division algorithm.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +71,20 @@ def s_poly_parts(f: Poly2, g: Poly2) -> tuple[Poly2, Poly2, Monomial, Monomial]:
     return f.mul_term(tf, cf.inverse()), g.mul_term(tg, cg.inverse()), tf, tg
 
 
+def staircase(leads: Sequence[Monomial]) -> tuple[Monomial, ...]:
+    """The monomials that no lead monomial divides, column by column in x.
+
+    In column a, x^a y^b is standard when b is below every lead y-exponent
+    with x-exponent at most a.  The staircase is finite only when the leads
+    contain a pure power of x and a pure power of y; otherwise this raises.
+    """
+    ax = min((a for a, b in leads if b == 0), default=None)
+    if ax is None or not any(a == 0 for a, _ in leads):
+        raise ValueError("quotient is infinite dimensional")
+    return tuple((a, b) for a in range(ax)
+                 for b in range(min(lb for la, lb in leads if la <= a)))
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced monic lex Groebner basis with membership certificates."""
@@ -87,21 +102,9 @@ class GroebnerBasis:
         leads = self.lead_monomials
         return any(b == 0 for _, b in leads) and any(a == 0 for a, _ in leads)
 
-    def _min_b_for_column(self, a: int) -> int | None:
-        cands = [lb for la, lb in self.lead_monomials if la <= a]
-        return min(cands) if cands else None
-
     @cached_property
     def standard_monomials(self) -> tuple[Monomial, ...]:
-        if not self.is_zero_dimensional:
-            raise ValueError("quotient is infinite dimensional")
-        ax = min(a for a, b in self.lead_monomials if b == 0)
-        out = []
-        for a in range(ax):
-            top = self._min_b_for_column(a)
-            for b in range(top):
-                out.append((a, b))
-        return tuple(out)
+        return staircase(self.lead_monomials)
 
     def quotient_dimension(self) -> int:
         return len(self.standard_monomials)
@@ -151,63 +154,30 @@ def buchberger(gens: list[Poly2]) -> GroebnerBasis:
         return mono_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
 
     def add_poly(p: Poly2, cof: list[Poly2]) -> None:
-        # normalize for stability
         norm = p.primitive()
         if norm is not p:
-            factor = None
-            # primitive() scaled by a rational (or made monic); recover the factor
-            lead = p.lead_coeff()
-            nlead = norm.lead_coeff()
-            factor = nlead * lead.inverse()
+            # primitive() scaled p by a constant; scale its certificate alike
+            factor = norm.lead_coeff() * p.lead_coeff().inverse()
             cof = [c * factor for c in cof]
         t = len(basis)
         lm_t = norm.lead_monomial()
-        # Gebauer-Moeller update
-        new_pairs: set[tuple[int, int]] = set()
-        cand = []
-        for i in range(t):
-            cand.append((i, t))
-        # criterion M/F: keep (i,t) unless another (j,t) has strictly dividing lcm
-        lcms = {}
-        for (i, _t) in cand:
-            lcms[i] = mono_lcm(basis[i].lead_monomial(), lm_t)
-        kept = []
-        for (i, _t) in cand:
-            li = lcms[i]
-            drop = False
-            for (j, _t2) in cand:
-                if j == i:
-                    continue
-                lj = lcms[j]
-                if lj != li and mono_divides(lj, li):
-                    drop = True
-                    break
-            if not drop:
-                kept.append((i, _t))
-        # dedupe equal lcms: keep one representative per lcm value
-        seen_lcms: dict[Monomial, tuple[int, int]] = {}
-        kept2 = []
-        for (i, _t) in kept:
-            li = lcms[i]
-            if li in seen_lcms:
-                continue
-            seen_lcms[li] = (i, _t)
-            kept2.append((i, _t))
-        # Buchberger's coprime criterion
-        for (i, _t) in kept2:
-            lmi = basis[i].lead_monomial()
-            if mono_lcm(lmi, lm_t) != (lmi[0] + lm_t[0], lmi[1] + lm_t[1]):
-                new_pairs.add((i, t))
-        # prune old pairs by the chain criterion
-        stale = set()
-        for (i, j) in pairs:
+        lcms = [mono_lcm(b.lead_monomial(), lm_t) for b in basis]
+        # the chain criterion (B) on the old pairs
+        for i, j in list(pairs):
             lij = lcm_of(i, j)
-            if (mono_divides(lm_t, lij)
-                    and mono_lcm(basis[i].lead_monomial(), lm_t) != lij
-                    and mono_lcm(basis[j].lead_monomial(), lm_t) != lij):
-                stale.add((i, j))
-        pairs.difference_update(stale)
-        pairs.update(new_pairs)
+            if mono_divides(lm_t, lij) and lcms[i] != lij and lcms[j] != lij:
+                pairs.discard((i, j))
+        # One Gebauer-Moeller pass over the new pairs (i, t): drop a pair when
+        # another new pair's lcm properly divides its lcm (M), when an earlier
+        # pair kept by M has the same lcm (F), or when the leads are coprime.
+        seen: set[Monomial] = set()
+        for i, li in enumerate(lcms):
+            if li in seen or any(lj != li and mono_divides(lj, li) for lj in lcms):
+                continue
+            seen.add(li)
+            lmi = basis[i].lead_monomial()
+            if li != (lmi[0] + lm_t[0], lmi[1] + lm_t[1]):
+                pairs.add((i, t))
         basis.append(norm)
         cofs.append(cof)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import Cyc, sqrt5
+from .cyclotomic import CONDUCTOR_CAP, ConductorError, Cyc, sqrt5
 
 Mat2 = tuple[Cyc, Cyc, Cyc, Cyc]
 
@@ -52,6 +52,9 @@ class GroupSpec:
                 raise ValueError("bd(n) needs n >= 1")
         elif self.family not in ("bt", "bo", "bi"):
             raise ValueError(f"unknown group family {self.family!r}")
+        if self.conductor > CONDUCTOR_CAP:
+            raise ConductorError(
+                f"{self} needs conductor {self.conductor}, above the cap {CONDUCTOR_CAP}")
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
@@ -157,10 +160,6 @@ class FiniteGroup:
         g = self.elements[idx]
         return g[0] + g[3]
 
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.mult[i][j] == self.mult[j][i] for i in range(n) for j in range(i + 1, n))
-
     def power(self, idx: int, e: int) -> int:
         if e < 0:
             idx, e = self.inv[idx], -e
@@ -176,12 +175,6 @@ class FiniteGroup:
     def conjugate(self, g: int, h: int) -> int:
         """g h g^{-1}."""
         return self.mult[self.mult[g][h]][self.inv[g]]
-
-    def exponent(self) -> int:
-        e = 1
-        for o in self.element_order:
-            e = e * o // gcd(e, o)
-        return e
 
 
 def close(generators: list[Mat2], cap: int = CLOSURE_CAP,

@@ -68,10 +68,6 @@ def fundamental_invariants(spec: GroupSpec) -> tuple[Poly2, ...]:
     return polys
 
 
-def invariant_degrees(spec: GroupSpec) -> tuple[int, ...]:
-    return tuple(f.degree() for f in fundamental_invariants(spec))
-
-
 def reynolds_many(group: FiniteGroup, polys: list[Poly2]) -> list[Poly2]:
     """The Reynolds operator (1/|G|) sum_g g.p on every p in polys, in one sweep.
 

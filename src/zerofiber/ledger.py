@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import GroebnerBasis, normal_form
+from .groebner import GroebnerBasis, normal_form, staircase
 from .groups import GroupSpec
 from .invariants import fundamental_invariants, invariant_ideal_basis
 from .poly2 import Poly2, from_int_terms
@@ -51,21 +51,11 @@ def _value_entry(name: str, claim: str, computed: Poly2, printed: Poly2,
     return IdentityLedgerEntry(name, "corrected", claim, recomputed=str(computed), note=note)
 
 
-def _staircase_count(leads: list[tuple[int, int]]) -> int:
-    ax = min((a for a, b in leads if b == 0), default=None)
-    if ax is None or not any(a == 0 for a, b in leads):
-        raise ValueError("staircase is not finite")
-    total = 0
-    for a in range(ax):
-        total += min(b for la, b in leads if la <= a)
-    return total
-
-
 def _span_entry(name: str, spec: GroupSpec, claimed_dim: int,
                 claimed_leads: list[tuple[int, int]]) -> IdentityLedgerEntry:
     gb = invariant_ideal_basis(spec)
     actual = gb.quotient_dimension()
-    stair = _staircase_count(claimed_leads)
+    stair = len(staircase(claimed_leads))
     claim = f"the displayed spanning set has size {claimed_dim} = 2|Gamma|-1"
     if stair == claimed_dim == actual:
         return IdentityLedgerEntry(name, "verified", claim)

@@ -1,13 +1,14 @@
 """Exact linear algebra over cyclotomic fields, plus the complex embedding
 of quaternionic matrices and quaternionic row reduction.
 
-Matrices are tuples of row tuples with Cyc entries.  ``rref`` (behind
-``kernel_basis``) divides by its pivots exactly; ``rank`` needs no division
-in the field at all.
+Matrices are tuples of row tuples with Cyc entries.  ``rank`` needs no
+division in the field at all.  ``quat_rref_key`` is the canonical form of a
+quaternionic row space, and ``quat_row_key`` the exact key of one row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,51 +16,6 @@ from .cyclotomic import Cyc
 from .quaternion import Quaternion
 
 CycMatrix = tuple[tuple[Cyc, ...], ...]
-
-
-def mat_mul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = ai[0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + ai[t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def identity(n: int, m: int = 1) -> CycMatrix:
-    one, zero = Cyc.one(m), Cyc.zero(m)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def rref(mat: CycMatrix) -> tuple[CycMatrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(r_) for r_ in rows), pivots
 
 
 def rank(mat: CycMatrix) -> int:
@@ -109,24 +65,6 @@ def _make_primitive(row: list[Cyc], start: int) -> None:
         row[start:] = [v * scale for v in row[start:]]
 
 
-def kernel_basis(mat: CycMatrix) -> list[tuple[Cyc, ...]]:
-    """Basis of the right kernel {x : mat @ x = 0}."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    m = mat[0][0].m
-    red, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Cyc.zero(m) for _ in range(ncols)]
-        vec[fc] = Cyc.one(m)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 # -- quaternionic matrices ---------------------------------------------------
 
 def quat_matrix_embed(qmat: tuple[tuple[Quaternion, ...], ...]) -> CycMatrix:
@@ -148,12 +86,6 @@ def quat_matrix_embed(qmat: tuple[tuple[Quaternion, ...], ...]) -> CycMatrix:
         rows.append(tuple(top))
         rows.append(tuple(bot))
     return tuple(rows)
-
-
-def quat_rank(qmat: tuple[tuple[Quaternion, ...], ...]) -> int:
-    r = rank(quat_matrix_embed(qmat))
-    assert r % 2 == 0, "complex rank of an embedded quaternionic matrix must be even"
-    return r // 2
 
 
 def quat_rref_key(rows: tuple[tuple[Quaternion, ...], ...]) -> tuple:
@@ -194,9 +126,12 @@ def quat_rref_key(rows: tuple[tuple[Quaternion, ...], ...]) -> tuple:
         pivots.append(lead)
         if len(basis) == ncols:
             break
-    kept = [tuple((q.z1.num, q.z1.den, q.z2.num, q.z2.den) for q in row) for row in basis]
-    kept.sort()
-    return tuple(kept)
+    return tuple(sorted(quat_row_key(row) for row in basis))
+
+
+def quat_row_key(row: Iterable[Quaternion]) -> tuple:
+    """An exact, hashable key of a row of quaternions over one conductor."""
+    return tuple((q.z1.num, q.z1.den, q.z2.num, q.z2.den) for q in row)
 
 
 def _left_axpy(x: list[Quaternion], f: Quaternion, y: list[Quaternion]) -> list[Quaternion]:

@@ -32,9 +32,6 @@ class McKayGraph:
     def size(self) -> int:
         return len(self.dims)
 
-    def delta(self) -> Vector:
-        return self.dims
-
     def affine_cartan(self) -> tuple[tuple[int, ...], ...]:
         n = self.size
         return tuple(

@@ -78,11 +78,6 @@ class Quaternion:
         always rational (q = 1 - zeta_8 has norm 2 - sqrt 2)."""
         return self.z1 * self.z1.conj() + self.z2 * self.z2.conj()
 
-    def norm_sq(self) -> Fraction:
-        """conj(q) * q for a q whose norm is rational (unit quaternions and
-        their rational multiples); raises ValueError otherwise."""
-        return self.norm().as_rational()
-
     def inverse(self) -> "Quaternion":
         n = self.norm()
         if n.is_zero():
@@ -120,8 +115,3 @@ def hermitian_form(x: tuple[Quaternion, ...], y: tuple[Quaternion, ...]) -> Quat
         acc = acc + xp.conj() * yp
     return acc
 
-
-def split_form(x: tuple[Quaternion, ...], y: tuple[Quaternion, ...]) -> tuple[Cyc, Cyc]:
-    """Split (x, y) = <x,y>' + j <x,y> into (hermitian_part, symplectic_part)."""
-    q = hermitian_form(x, y)
-    return q.z1, q.z2

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 from .cyclotomic import Cyc
 from .groups import FiniteGroup, Subgroup
-from .linalg import quat_matrix_embed, quat_rref_key, rank
+from .linalg import quat_matrix_embed, quat_row_key, quat_rref_key, rank
 from .quaternion import Quaternion, hermitian_form, quat_from_matrix
 
 APPENDIX_N_CAP = 3
@@ -125,28 +125,6 @@ class WreathContext:
             mat[k][k] = mat[k][k] - one
         return rank(tuple(tuple(row) for row in mat))
 
-    def structural_fix_codim(self, el: MonomialElement) -> int:
-        """Quaternionic codimension of fix(el) from the cycle structure:
-        each cycle contributes length - (1 if its gamma-product is 1)."""
-        group, n = self.group, self.n
-        seen = [False] * n
-        codim = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            cur = el.perm[start]
-            while cur != start:
-                seen[cur] = True
-                cycle.append(cur)
-                cur = el.perm[cur]
-            prod = 0
-            for p in cycle:
-                prod = group.mult[el.gammas[p]][prod]
-            codim += len(cycle) - (1 if prod == 0 else 0)
-        return codim
-
 
 class Reflection(NamedTuple):
     element: MonomialElement
@@ -231,17 +209,13 @@ def _alpha_of(ctx: WreathContext, r: Reflection) -> tuple[Quaternion, ...]:
     return tuple(alpha)
 
 
-def _alpha_key(alpha: tuple[Quaternion, ...]) -> tuple:
-    return tuple((q.z1.num, q.z1.den, q.z2.num, q.z2.den) for q in alpha)
-
-
 def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[Hyperplane]:
     """Deduplicated fix hyperplanes; the normal alpha has its first nonzero
     coordinate normalized to 1."""
     buckets: dict[tuple, tuple[tuple[Quaternion, ...], list[int]]] = {}
     for i, r in enumerate(refl):
         alpha = _alpha_of(ctx, r)
-        key = _alpha_key(alpha)
+        key = quat_row_key(alpha)
         if key in buckets:
             buckets[key][1].append(i)
         else:
@@ -448,19 +422,16 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
             break
     pairing_verdict = verdict(failure)
 
-    # (iv) |A^H| = N* + 1 - k for every H
-    failure = ""
-    for h in planes:
-        row_h = tuple(q.conj() for q in h.alpha)
-        keys = set()
-        for kpl in planes:
-            if kpl.key == h.key:
-                continue
-            row_k = tuple(q.conj() for q in kpl.alpha)
-            keys.add(quat_rref_key((row_h, row_k)))
-        if len(keys) != Nstar + 1 - k:
-            failure = f"|A^H| = {len(keys)} != N* + 1 - k = {Nstar + 1 - k}"
-            break
+    # (iv) |A^H| = N* + 1 - k for every H; the key of H cap K is computed
+    # once per unordered pair and counted for both H and K
+    rows = [tuple(q.conj() for q in h.alpha) for h in planes]
+    keys: list[set[tuple]] = [set() for _ in planes]
+    for a, b in itertools.combinations(range(Nstar), 2):
+        key = quat_rref_key((rows[a], rows[b]))
+        keys[a].add(key)
+        keys[b].add(key)
+    failure = next((f"|A^H| = {len(ks)} != N* + 1 - k = {Nstar + 1 - k}"
+                    for ks in keys if len(ks) != Nstar + 1 - k), "")
     k_verdict = verdict(failure)
 
     return AppendixReport(report, trace_verdict, f_verdict, pairing_verdict, k_verdict,

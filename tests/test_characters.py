@@ -10,7 +10,6 @@ from zerofiber.characters import (
     inner_product,
     kernel_contains,
     linear_characters,
-    table_for,
     value_at_element,
 )
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
@@ -105,25 +104,6 @@ def test_inner_products_are_exact_rationals():
             assert ip == (1 if a.values == b.values else 0)
 
 
-def test_table_for_raw_abelian_group():
-    from zerofiber.groups import builtin_generators, close
-
-    gens = builtin_generators(GroupSpec("cyclic", 5))
-    g = close(gens)
-    chars = table_for(g)
-    assert len(chars) == 5
-
-
-def test_table_for_raw_nonabelian_rejected():
-    from zerofiber.groups import builtin_generators, close
-
-    gens = builtin_generators(GroupSpec("bd", 2))
-    g = close(gens)
-    g.spec = None
-    with pytest.raises(ValueError):
-        table_for(g)
-
-
 def test_sym2_of_defining_is_the_three_dim_for_bt():
     # frozen cross-check of the stored 3-dim row: Sym^2 chi_V values
     g = build_group(GroupSpec.parse("bt"))
@@ -197,6 +177,7 @@ def test_inner_product_matches_cyc_loop_on_raw_abelian_group():
 
     g = close(builtin_generators(GroupSpec("cyclic", 7)))
     g.spec = None
-    chars = table_for(g)
+    chars = linear_characters(g)
+    assert len(chars) == 7
     scaled = ClassFunction(tuple(v * Fraction(1, c + 1) for c, v in enumerate(chars[2].values)))
     assert_same_inner_products(g, list(chars) + [scaled])

@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import tomllib
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+from zerofiber import cli
 from zerofiber.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_report_prints_the_numerology_as_json(capsys):
@@ -32,3 +41,34 @@ def test_bad_input_is_rejected_with_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "zerofiber: error:" in capsys.readouterr().err
+
+
+def test_oversized_conductor_is_rejected_before_the_group_is_built(capsys, monkeypatch):
+    def no_build(spec):
+        raise AssertionError(f"build_group ran on {spec}")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "cyclic:10001", "whole", "1"])
+    assert exc.value.code == 2
+    assert "cyclic:10001" in capsys.readouterr().err
+
+
+def test_console_script_entry_point(capsys):
+    with (REPO / "pyproject.toml").open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["zerofiber"]
+    module, _, attr = target.partition(":")
+    entry = getattr(import_module(module), attr)
+    assert entry(["report", "bt", "comm", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 38
+
+
+def test_module_runs_as_a_command():
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerofiber.cli", "report", "bt", "comm", "2"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=False)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["gamma"], out["delta"], out["n"]) == ("bt", "comm", 2)
+    assert (out["N"], out["Nstar"], out["g"], out["irreducible"]) == (38, 26, "38", True)

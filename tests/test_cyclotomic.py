@@ -8,9 +8,7 @@ from zerofiber.cyclotomic import (
     ConductorError,
     cyclotomic_polynomial,
     euler_phi,
-    imag_unit,
     sqrt5,
-    sqrt_minus3,
 )
 
 
@@ -81,8 +79,6 @@ def test_conjugation_is_involution_and_fixes_rationals():
 
 def test_named_constants():
     assert sqrt5() ** 2 == 5
-    assert sqrt_minus3() ** 2 == -3
-    assert imag_unit(8) ** 2 == -1
 
 
 def test_rational_recognition_round_trip():

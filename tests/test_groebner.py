@@ -110,3 +110,36 @@ def test_infinite_dimensional_detection():
     assert not gb.is_zero_dimensional
     with pytest.raises(ValueError):
         _ = gb.standard_monomials
+
+
+CATALOGUE = (
+    [f"cyclic:{l}" for l in range(1, 13)]
+    + [f"bd:{n}" for n in range(1, 9)]
+    + ["bt", "bo", "bi"]
+)
+
+
+def test_pair_criteria_pin_the_catalogue_work(monkeypatch):
+    # The Gebauer-Moeller criteria leave 65 S-pairs and 218 reductions on
+    # the fundamental invariants of the catalogue; a weaker criterion makes
+    # more and fails here, not only in the time zero_fiber takes.
+    from zerofiber import groebner
+    from zerofiber.groups import GroupSpec
+    from zerofiber.invariants import fundamental_invariants
+
+    calls = {"s_poly_parts": 0, "normal_form": 0}
+
+    def counted(name):
+        fn = getattr(groebner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gens = [list(fundamental_invariants(GroupSpec.parse(s))) for s in CATALOGUE]
+    for name in calls:
+        monkeypatch.setattr(groebner, name, counted(name))
+    for g in gens:
+        buchberger(g)
+    assert calls == {"s_poly_parts": 65, "normal_form": 218}

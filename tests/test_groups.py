@@ -182,3 +182,15 @@ def test_close_matches_brute_force(spec):
     assert group.gen_indices == [index[g] for g in gens]
     assert group.mult == [[index[mat_mul2(a, b)] for b in elements] for a in elements]
     assert all(group.mult[a][group.inv[a]] == 0 for a in range(group.order))
+
+
+@pytest.mark.parametrize("text", ["cyclic:10001", "bd:5001"])
+def test_conductor_past_the_cap_is_rejected_at_parse(text, monkeypatch):
+    from zerofiber import cyclotomic
+
+    def no_rows(m):
+        raise AssertionError("an oversized spec reached the cyclotomic tables")
+
+    monkeypatch.setattr(cyclotomic, "_power_rows", no_rows)
+    with pytest.raises(ValueError, match=text):
+        GroupSpec.parse(text)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import identity, mat_mul, rref, structural_fix_codim
 from test_linalg import column_rref_key, rand_quat
 from zerofiber import wreath
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
-from zerofiber.linalg import quat_matrix_embed, rref
+from zerofiber.linalg import quat_matrix_embed
 from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import (
     MonomialElement,
@@ -153,7 +154,7 @@ def test_structural_codim_equals_kernel_codim_bruteforce():
                             ("bt", "comm", 2), ("cyclic:5", "whole", 3), ("bt", "whole", 2)]:
         c = ctx_of(gamma, delta, n)
         for el in c.elements():
-            assert (2 * c.structural_fix_codim(el) == c.complex_codim_of_fix(el)
+            assert (2 * structural_fix_codim(c, el) == c.complex_codim_of_fix(el)
                     == dense_codim_of_fix(c, el))
 
 
@@ -262,12 +263,9 @@ def test_g_h_k_relation_and_order_two_equality():
     for r in reflections(c):
         el = r.element
         # order of the monomial element: brute force via matrix powers
-        codim = c.structural_fix_codim(el)
+        codim = structural_fix_codim(c, el)
         assert codim == 1
-        mat = c.quaternion_matrix(el)
-        from zerofiber.linalg import quat_matrix_embed, identity, mat_mul
-
-        emb = quat_matrix_embed(mat)
+        emb = quat_matrix_embed(c.quaternion_matrix(el))
         acc = emb
         o = 1
         ident = identity(4, c.group.conductor)
