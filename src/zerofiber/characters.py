@@ -1,17 +1,17 @@
 """Exact character tables for the catalogue groups.
 
-Abelian tables come from the cyclic-extension algorithm on the group itself;
-binary dihedral tables from the classical closed forms (trace of g^k on the
-diagonal classes) plus the four linear characters; the three binary platonic
-groups ship as stored exact tables over Q(zeta_24) / Q(zeta_5), matched to
-the enumerated conjugacy classes by (element order, class size, defining
-trace) and certified at load by orthogonality, degree sums and the McKay
-integrality sieve.
+Every table but bi's is built by the McKay sieve: the linear characters
+(the cyclic-extension algorithm on the abelianization) and chi_V, then the
+new constituents of chi * chi_V and their linear twists until every class
+has its character.  The sieve stalls on E8, so bi ships a stored exact
+table over Q(zeta_5), matched to the enumerated conjugacy classes by
+element order and defining trace.  Each table is certified on construction
+by row orthonormality, column orthogonality and the degree sum; the
+integrality of its McKay multiplicities is certified by ``mckay_graph``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,86 +164,30 @@ def kernel_contains(group: FiniteGroup, chi: ClassFunction, sub: Subgroup) -> bo
 
 # -- full tables ---------------------------------------------------------------
 
-def _abelian_table(group: FiniteGroup) -> list[ClassFunction]:
-    chars = linear_characters(group)
-    if len(chars) != len(group.classes):
-        raise AssertionError("abelian group must have |G| linear characters")
-    return chars
-
-
-def _bd_table(group: FiniteGroup) -> list[ClassFunction]:
-    n = group.spec.param
-    chars = linear_characters(group)
+def _bi_table(group: FiniteGroup) -> list[ClassFunction]:
+    """The stored E8 table (the McKay sieve stalls on bi).  Its entries are
+    small integer combinations of tau = (1 + sqrt 5)/2 and its conjugate.
+    Its columns are the classes 1a 2a 4a 3a 6a 5a 5b 10a 10b, found by
+    element order and, for the two classes of order 5 and of order 10, by
+    trace."""
     m = group.conductor
-    for k in range(1, n):
-        vals = []
-        for cls in group.classes:
-            rep = group.elements[cls[0]]
-            if rep[1].is_zero() and rep[2].is_zero():
-                gk = group.power(cls[0], k)
-                vals.append(group.trace(gk))
-            else:
-                vals.append(Cyc.zero(m))
-        chars.append(ClassFunction(tuple(vals)))
-    return chars
-
-
-# Stored exceptional tables.  Row entries are small integer combinations of
-# named irrationalities; columns use canonical class labels resolved against
-# the enumerated classes.
-
-_BT_LABELS = ("1a", "2a", "4a", "3a", "3b", "6a", "6b")
-_BO_LABELS = ("1a", "2a", "8a", "8b", "4a", "4b", "3a", "6a")
-_BI_LABELS = ("1a", "2a", "4a", "3a", "6a", "5a", "5b", "10a", "10b")
-
-
-def _bt_rows(m: int) -> list[list[Cyc]]:
-    one = Cyc.one(m)
-    w = Cyc.zeta(m, m // 3)
-    w2 = w * w
-    r = Cyc.rational
-
-    def c(v):
-        return r(v, m)
-
-    return [
-        [c(1), c(1), c(1), c(1), c(1), c(1), c(1)],
-        [c(1), c(1), c(1), w, w2, w, w2],
-        [c(1), c(1), c(1), w2, w, w2, w],
-        [c(2), c(-2), c(0), c(-1), c(-1), c(1), c(1)],
-        [c(2), c(-2), c(0), -w, -w2, w, w2],
-        [c(2), c(-2), c(0), -w2, -w, w2, w],
-        [c(3), c(3), c(-1), c(0), c(0), c(0), c(0)],
-    ]
-
-
-def _bo_rows(m: int) -> list[list[Cyc]]:
-    s = Cyc.zeta(m, m // 8) + Cyc.zeta(m, m - m // 8)  # sqrt 2
-
-    def c(v):
-        return Cyc.rational(v, m)
-
-    return [
-        [c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1)],
-        [c(1), c(1), c(-1), c(-1), c(1), c(-1), c(1), c(1)],
-        [c(2), c(-2), s, -s, c(0), c(0), c(-1), c(1)],
-        [c(2), c(-2), -s, s, c(0), c(0), c(-1), c(1)],
-        [c(2), c(2), c(0), c(0), c(2), c(0), c(-1), c(-1)],
-        [c(3), c(3), c(1), c(1), c(-1), c(-1), c(0), c(0)],
-        [c(3), c(3), c(-1), c(-1), c(-1), c(1), c(0), c(0)],
-        [c(4), c(-4), c(0), c(0), c(0), c(0), c(1), c(-1)],
-    ]
-
-
-def _bi_rows(m: int) -> list[list[Cyc]]:
     z5 = Cyc.zeta(m, m // 5)
     tau = -(z5 ** 2 + z5 ** 3)        # (1+sqrt5)/2
     taub = -(z5 + z5 ** 4)            # (1-sqrt5)/2
+    columns = []
+    for order, trace in ((1, None), (2, None), (4, None), (3, None), (6, None),
+                         (5, -taub), (5, -tau), (10, tau), (10, taub)):
+        matches = [cid for cid, cls in enumerate(group.classes)
+                   if group.element_order[cls[0]] == order
+                   and (trace is None or group.trace(cls[0]) == trace)]
+        if len(matches) != 1:
+            raise AssertionError(f"bi class of order {order} matched {len(matches)} classes")
+        columns.append(matches[0])
 
     def c(v):
         return Cyc.rational(v, m)
 
-    return [
+    rows = [
         [c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1)],
         [c(2), c(-2), c(0), c(-1), c(1), -taub, -tau, tau, taub],
         [c(2), c(-2), c(0), c(-1), c(1), -tau, -taub, taub, tau],
@@ -254,77 +198,11 @@ def _bi_rows(m: int) -> list[list[Cyc]]:
         [c(5), c(5), c(1), c(-1), c(-1), c(0), c(0), c(0), c(0)],
         [c(6), c(-6), c(0), c(0), c(0), c(1), c(1), c(-1), c(-1)],
     ]
-
-
-def _class_labels(group: FiniteGroup) -> dict[str, int]:
-    """Canonical class labels from (order, size, trace), with the bt 3a/3b
-    pair resolved by enumeration order (3b is 3a's inverse class)."""
-    fam = group.spec.family
-    info = []
-    for cid, cls in enumerate(group.classes):
-        rep = cls[0]
-        info.append((group.element_order[rep], len(cls), group.trace(rep), cid))
-    labels: dict[str, int] = {}
-
-    def unique(pred, label):
-        matches = [cid for (o, s, t, cid) in info if pred(o, s, t)]
-        if len(matches) != 1:
-            raise AssertionError(f"class label {label} matched {len(matches)} classes")
-        labels[label] = matches[0]
-
-    unique(lambda o, s, t: o == 1, "1a")
-    unique(lambda o, s, t: o == 2, "2a")
-    if fam == "bt":
-        unique(lambda o, s, t: o == 4, "4a")
-        threes = sorted(cid for (o, s, t, cid) in info if o == 3)
-        if len(threes) != 2:
-            raise AssertionError("bt must have two order-3 classes")
-        labels["3a"] = threes[0]
-        inv_rep = group.inv[group.classes[threes[0]][0]]
-        labels["3b"] = group.class_of[inv_rep]
-        if labels["3b"] != threes[1]:
-            raise AssertionError("bt order-3 classes are not swapped by inversion")
-        minus_one = group.classes[labels["2a"]][0]
-        labels["6a"] = group.class_of[group.mult[minus_one][group.classes[threes[0]][0]]]
-        labels["6b"] = group.class_of[group.mult[minus_one][group.classes[threes[1]][0]]]
-        if labels["6a"] == labels["6b"]:
-            raise AssertionError("bt order-6 classes collapsed")
-    elif fam == "bo":
-        sqrt2 = Cyc.zeta(group.conductor, 3) + Cyc.zeta(group.conductor, 21)
-        unique(lambda o, s, t: o == 8 and t == sqrt2, "8a")
-        unique(lambda o, s, t: o == 8 and t == -sqrt2, "8b")
-        unique(lambda o, s, t: o == 4 and s == 6, "4a")
-        unique(lambda o, s, t: o == 4 and s == 12, "4b")
-        unique(lambda o, s, t: o == 3, "3a")
-        unique(lambda o, s, t: o == 6, "6a")
-    elif fam == "bi":
-        z5 = Cyc.zeta(group.conductor, group.conductor // 5)
-        tau = -(z5 ** 2 + z5 ** 3)
-        taub = -(z5 + z5 ** 4)
-        unique(lambda o, s, t: o == 4, "4a")
-        unique(lambda o, s, t: o == 3, "3a")
-        unique(lambda o, s, t: o == 6, "6a")
-        unique(lambda o, s, t: o == 5 and t == -taub, "5a")
-        unique(lambda o, s, t: o == 5 and t == -tau, "5b")
-        unique(lambda o, s, t: o == 10 and t == tau, "10a")
-        unique(lambda o, s, t: o == 10 and t == taub, "10b")
-    return labels
-
-
-def _stored_table(group: FiniteGroup) -> list[ClassFunction]:
-    fam = group.spec.family
-    rows, order = {
-        "bt": (_bt_rows, _BT_LABELS),
-        "bo": (_bo_rows, _BO_LABELS),
-        "bi": (_bi_rows, _BI_LABELS),
-    }[fam]
-    labels = _class_labels(group)
-    perm = [labels[lab] for lab in order]
     out = []
-    for row in rows(group.conductor):
+    for row in rows:
         vals = [None] * len(group.classes)
-        for pos, cid in enumerate(perm):
-            vals[cid] = row[pos]
+        for cid, v in zip(columns, row):
+            vals[cid] = v
         out.append(ClassFunction(tuple(vals)))
     return out
 
@@ -352,34 +230,14 @@ def validate_table(group: FiniteGroup, chars: list[ClassFunction]) -> None:
     total = sum(chi.degree.as_rational() ** 2 for chi in chars)
     if total != group.order:
         raise AssertionError(f"sum of squared degrees {total} != |G| = {group.order}")
-    # integrality of tensor decomposition against the defining character
-    mckay_multiplicities(group, chars)
-
-
-def mckay_multiplicities(group: FiniteGroup,
-                         chars: Sequence[ClassFunction]) -> tuple[tuple[int, ...], ...]:
-    """The matrix m_ij = <chi_i * chi_V, chi_j> of McKay multiplicities.
-
-    Raises ``AssertionError`` on an entry that is negative or not an integer.
-    """
-    chi_v = defining_character(group)
-    rows = []
-    for chi in chars:
-        prod = chi * chi_v
-        row = []
-        for psi in chars:
-            mult = inner_product(group, prod, psi)
-            if mult.denominator != 1 or mult < 0:
-                raise AssertionError("non-integral McKay multiplicity")
-            row.append(int(mult))
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction] | None:
-    """Independent table construction: decompose chi * chi_V, strip known
-    constituents, close under linear twists.  Returns None if it stalls
-    (type E8), else the full set of irreducibles."""
+    """The irreducible characters from the linear ones and chi_V: decompose
+    chi * chi_V for each known chi, strip its known constituents, and keep a
+    remainder of norm 1 together with its linear twists.  Returns None if it
+    stalls (type E8), else the full set of irreducibles.  Raises
+    ``AssertionError`` on a multiplicity that is not a non-negative integer."""
     known: list[ClassFunction] = list(linear_characters(group))
     chi_v = defining_character(group)
 
@@ -397,6 +255,8 @@ def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction] | None:
             rem = chi * chi_v
             for psi in known:
                 m = inner_product(group, rem, psi)
+                if m.denominator != 1 or m < 0:
+                    raise AssertionError(f"McKay sieve met the non-integral multiplicity {m}")
                 if m:
                     rem = rem - psi.scale(int(m))
             if rem.is_zero():
@@ -414,23 +274,14 @@ def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction] | None:
 @lru_cache(maxsize=None)
 def character_table(spec: GroupSpec) -> tuple[ClassFunction, ...]:
     group = build_group(spec)
-    if spec.family == "cyclic":
-        chars = _abelian_table(group)
-    elif spec.family == "bd":
-        if spec.param == 1:
-            chars = _abelian_table(group)  # bd(1) is cyclic of order 4
-        else:
-            chars = _bd_table(group)
+    if spec.family == "bi":
+        chars = _bi_table(group)
     else:
-        chars = _stored_table(group)
+        chars = _mckay_sieve(group)
+        if chars is None:
+            raise AssertionError(f"McKay sieve unexpectedly stalled for {spec}")
     chars = _sorted_rows(group, chars)
     validate_table(group, chars)
-    if spec.family != "bi":
-        sieve = _mckay_sieve(group)
-        if sieve is None:
-            raise AssertionError(f"McKay sieve unexpectedly stalled for {spec}")
-        if {c.values for c in sieve} != {c.values for c in chars}:
-            raise AssertionError(f"McKay sieve disagrees with table for {spec}")
     return tuple(chars)
 
 

@@ -1,5 +1,5 @@
-"""Exact linear algebra over cyclotomic fields, plus the complex embedding
-of quaternionic matrices and quaternionic row reduction.
+"""Exact linear algebra over cyclotomic fields, plus quaternionic row
+reduction.
 
 Matrices are tuples of row tuples with Cyc entries.  ``rank`` needs no
 division in the field at all.  ``quat_rref_key`` is the canonical form of a
@@ -66,27 +66,6 @@ def _make_primitive(row: list[Cyc], start: int) -> None:
 
 
 # -- quaternionic matrices ---------------------------------------------------
-
-def quat_matrix_embed(qmat: tuple[tuple[Quaternion, ...], ...]) -> CycMatrix:
-    """Complex 2n x 2n block embedding; each q -> [[z1, -conj z2], [z2, conj z1]].
-
-    A ring homomorphism: embed(AB) = embed(A) embed(B), and the complex rank
-    of the image is twice the quaternionic rank.
-    """
-    n = len(qmat)
-    k = len(qmat[0]) if n else 0
-    rows: list[tuple[Cyc, ...]] = []
-    for i in range(n):
-        top: list[Cyc] = []
-        bot: list[Cyc] = []
-        for j in range(k):
-            q = qmat[i][j]
-            top.extend((q.z1, -q.z2.conj()))
-            bot.extend((q.z2, q.z1.conj()))
-        rows.append(tuple(top))
-        rows.append(tuple(bot))
-    return tuple(rows)
-
 
 def quat_rref_key(rows: tuple[tuple[Quaternion, ...], ...]) -> tuple:
     """Canonical form of the left row space of a quaternionic matrix.

@@ -14,7 +14,8 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .characters import character_table, kernel_contains, mckay_multiplicities
+from .characters import (ClassFunction, character_table, defining_character, inner_product,
+                         kernel_contains)
 from .groups import FiniteGroup, GroupSpec, Subgroup, build_group
 
 Vector = tuple[int, ...]
@@ -87,8 +88,31 @@ def _identify_affine_type(adj, dims) -> str:
     raise AssertionError("graph is not an affine ADE diagram")
 
 
+def mckay_multiplicities(group: FiniteGroup,
+                         chars: tuple[ClassFunction, ...]) -> tuple[tuple[int, ...], ...]:
+    """The matrix m_ij = <chi_i * chi_V, chi_j> of McKay multiplicities.
+
+    Raises ``AssertionError`` on an entry that is negative or not an integer.
+    """
+    chi_v = defining_character(group)
+    rows = []
+    for chi in chars:
+        prod = chi * chi_v
+        row = []
+        for psi in chars:
+            mult = inner_product(group, prod, psi)
+            if mult.denominator != 1 or mult < 0:
+                raise AssertionError("non-integral McKay multiplicity")
+            row.append(int(mult))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def mckay_graph(spec: GroupSpec) -> McKayGraph:
+    """The McKay graph of a catalogue group.  Its multiplicities are the
+    only McKay matrix of the spec: they are certified integral, non-negative
+    and symmetric here, not when the table is built."""
     group = build_group(spec)
     chars = character_table(spec)
     n = len(chars)
@@ -283,6 +307,20 @@ def _linear_trivial_on(spec: GroupSpec, sub: Subgroup) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _maximal(candidates: set[Vector], finite: tuple[int, ...]) -> list[Vector]:
+    """The admissible candidates that are maximal coefficientwise, found in
+    one step: a is maximal exactly when no a + alpha_i, i finite, is one.
+
+    For candidates a < b, gamma = b - a has 2(a, gamma) = -(gamma, gamma) < 0,
+    as (a, a) = (b, b) = 2 and the finite form is positive definite.  So
+    (a, alpha_i) = -1 for some i in supp gamma, and a + alpha_i is a root
+    below b.  It agrees with a and b on every vertex of Gamma/Delta, as every
+    root between them does, so it is a candidate too.
+    """
+    return [a for a in candidates
+            if not any(a[:i] + (a[i] + 1,) + a[i + 1:] in candidates for i in finite)]
+
+
 def admissible_alpha(spec: GroupSpec, sub: Subgroup) -> Vector:
     """The finite positive root used for ch(L); phi when Delta = Gamma.
 
@@ -299,18 +337,15 @@ def admissible_alpha(spec: GroupSpec, sub: Subgroup) -> Vector:
     j_vertices = [v for v in _linear_trivial_on(spec, sub) if v != 0]
     if not j_vertices:
         raise ValueError("no nontrivial linear character of Gamma/Delta")
-    candidates = []
+    candidates = set()
     for alpha in ctx.positive_roots:
         ones = [v for v in j_vertices if alpha[v] == 1]
         others = [v for v in j_vertices if alpha[v] not in (0, 1)]
         if len(ones) == 1 and not others:
-            candidates.append(alpha)
+            candidates.add(alpha)
     if not candidates:
         raise ValueError(f"no admissible root for {spec} with Delta of index {sub.index}")
-    maximal = [
-        a for a in candidates
-        if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in candidates)
-    ]
+    maximal = _maximal(candidates, ctx.finite_vertices)
     dist = ctx.graph.distance_from_zero()
 
     def special_vertex(a: Vector) -> int:

@@ -2,15 +2,24 @@
 
 ``rref`` and ``kernel_basis`` are the Gauss-Jordan elimination with exact
 division that the division-free ``linalg.rank`` replaced; ``mat_mul`` and
-``identity`` build dense matrices; ``structural_fix_codim`` reads the
-quaternionic codimension of an element's fixed space off its cycle
-structure, the criterion that the kernel rank certifies.
+``identity`` build dense matrices; ``quaternion_matrix`` and
+``quat_matrix_embed`` build the dense quaternionic and complex matrices of a
+monomial element; ``structural_fix_codim`` reads the quaternionic
+codimension of an element's fixed space off its cycle structure, the
+criterion that the kernel rank certifies.
+
+``bd_table``, ``bt_table`` and ``bo_table`` are the closed-form and stored
+character tables that the McKay sieve replaced, and ``pairwise_maximal``
+is the O(c^2) maximality filter that ``mckay._maximal`` replaced.
 """
 
 from __future__ import annotations
 
+from zerofiber.characters import ClassFunction, linear_characters
 from zerofiber.cyclotomic import Cyc
+from zerofiber.groups import FiniteGroup
 from zerofiber.linalg import CycMatrix
+from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import MonomialElement, WreathContext
 
 
@@ -98,3 +107,149 @@ def structural_fix_codim(ctx: WreathContext, el: MonomialElement) -> int:
             prod = group.mult[el.gammas[p]][prod]
         codim += len(cycle) - (1 if prod == 0 else 0)
     return codim
+
+
+def quaternion_matrix(ctx: WreathContext, el: MonomialElement) -> tuple[tuple[Quaternion, ...], ...]:
+    """The n x n quaternion matrix of a monomial element."""
+    n = ctx.n
+    zero = Quaternion.zero(ctx.group.conductor)
+    quats = ctx.unit_quaternions
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        # column j maps to row w(j); row i is hit by column w^{-1}(i)
+        row[el.perm.index(i)] = quats[el.gammas[i]]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def quat_matrix_embed(qmat: tuple[tuple[Quaternion, ...], ...]) -> CycMatrix:
+    """Complex 2n x 2n block embedding; each q -> [[z1, -conj z2], [z2, conj z1]].
+
+    A ring homomorphism: embed(AB) = embed(A) embed(B), and the complex rank
+    of the image is twice the quaternionic rank.
+    """
+    rows: list[tuple[Cyc, ...]] = []
+    for qrow in qmat:
+        top: list[Cyc] = []
+        bot: list[Cyc] = []
+        for q in qrow:
+            top.extend((q.z1, -q.z2.conj()))
+            bot.extend((q.z2, q.z1.conj()))
+        rows.append(tuple(top))
+        rows.append(tuple(bot))
+    return tuple(rows)
+
+
+# -- character tables ------------------------------------------------------------
+
+def bd_table(group: FiniteGroup) -> list[ClassFunction]:
+    """The four linear characters, then for k = 1..n-1 the 2-dimensional
+    character with value tr(g^k) on the diagonal classes and 0 elsewhere."""
+    chars = linear_characters(group)
+    m = group.conductor
+    for k in range(1, group.spec.param):
+        vals = []
+        for cls in group.classes:
+            rep = group.elements[cls[0]]
+            if rep[1].is_zero() and rep[2].is_zero():
+                vals.append(group.trace(group.power(cls[0], k)))
+            else:
+                vals.append(Cyc.zero(m))
+        chars.append(ClassFunction(tuple(vals)))
+    return chars
+
+
+def _labelled_table(group: FiniteGroup, labels: dict[str, int], order: tuple[str, ...],
+                    rows: list[list[Cyc]]) -> list[ClassFunction]:
+    perm = [labels[lab] for lab in order]
+    out = []
+    for row in rows:
+        vals = [None] * len(group.classes)
+        for pos, cid in enumerate(perm):
+            vals[cid] = row[pos]
+        out.append(ClassFunction(tuple(vals)))
+    return out
+
+
+def _unique_class(group: FiniteGroup, pred) -> int:
+    matches = [cid for cid, cls in enumerate(group.classes)
+               if pred(group.element_order[cls[0]], len(cls), group.trace(cls[0]))]
+    assert len(matches) == 1, matches
+    return matches[0]
+
+
+def bt_table(group: FiniteGroup) -> list[ClassFunction]:
+    """The stored E6 table; 3b is the inverse class of 3a, and 6a, 6b are
+    -1 times 3a, 3b."""
+    m = group.conductor
+    w = Cyc.zeta(m, m // 3)
+    w2 = w * w
+    labels = {"1a": _unique_class(group, lambda o, s, t: o == 1),
+              "2a": _unique_class(group, lambda o, s, t: o == 2),
+              "4a": _unique_class(group, lambda o, s, t: o == 4)}
+    threes = sorted(cid for cid, cls in enumerate(group.classes)
+                    if group.element_order[cls[0]] == 3)
+    assert len(threes) == 2
+    labels["3a"] = threes[0]
+    labels["3b"] = group.class_of[group.inv[group.classes[threes[0]][0]]]
+    assert labels["3b"] == threes[1]
+    minus_one = group.classes[labels["2a"]][0]
+    labels["6a"] = group.class_of[group.mult[minus_one][group.classes[threes[0]][0]]]
+    labels["6b"] = group.class_of[group.mult[minus_one][group.classes[threes[1]][0]]]
+    assert labels["6a"] != labels["6b"]
+
+    def c(v):
+        return Cyc.rational(v, m)
+
+    rows = [
+        [c(1), c(1), c(1), c(1), c(1), c(1), c(1)],
+        [c(1), c(1), c(1), w, w2, w, w2],
+        [c(1), c(1), c(1), w2, w, w2, w],
+        [c(2), c(-2), c(0), c(-1), c(-1), c(1), c(1)],
+        [c(2), c(-2), c(0), -w, -w2, w, w2],
+        [c(2), c(-2), c(0), -w2, -w, w2, w],
+        [c(3), c(3), c(-1), c(0), c(0), c(0), c(0)],
+    ]
+    return _labelled_table(group, labels, ("1a", "2a", "4a", "3a", "3b", "6a", "6b"), rows)
+
+
+def bo_table(group: FiniteGroup) -> list[ClassFunction]:
+    """The stored E7 table; the order-8 classes are told apart by the sign
+    of their trace +-sqrt 2, the order-4 classes by their size."""
+    m = group.conductor
+    s2 = Cyc.zeta(m, m // 8) + Cyc.zeta(m, m - m // 8)  # sqrt 2
+    preds = {
+        "1a": lambda o, s, t: o == 1,
+        "2a": lambda o, s, t: o == 2,
+        "8a": lambda o, s, t: o == 8 and t == s2,
+        "8b": lambda o, s, t: o == 8 and t == -s2,
+        "4a": lambda o, s, t: o == 4 and s == 6,
+        "4b": lambda o, s, t: o == 4 and s == 12,
+        "3a": lambda o, s, t: o == 3,
+        "6a": lambda o, s, t: o == 6,
+    }
+    labels = {lab: _unique_class(group, pred) for lab, pred in preds.items()}
+
+    def c(v):
+        return Cyc.rational(v, m)
+
+    rows = [
+        [c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1)],
+        [c(1), c(1), c(-1), c(-1), c(1), c(-1), c(1), c(1)],
+        [c(2), c(-2), s2, -s2, c(0), c(0), c(-1), c(1)],
+        [c(2), c(-2), -s2, s2, c(0), c(0), c(-1), c(1)],
+        [c(2), c(2), c(0), c(0), c(2), c(0), c(-1), c(-1)],
+        [c(3), c(3), c(1), c(1), c(-1), c(-1), c(0), c(0)],
+        [c(3), c(3), c(-1), c(-1), c(-1), c(1), c(0), c(0)],
+        [c(4), c(-4), c(0), c(0), c(0), c(0), c(1), c(-1)],
+    ]
+    return _labelled_table(group, labels, tuple(preds), rows)
+
+
+# -- admissible roots --------------------------------------------------------------
+
+def pairwise_maximal(candidates) -> list[tuple[int, ...]]:
+    """The coefficientwise-maximal vectors, by comparing every pair."""
+    return [a for a in candidates
+            if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in candidates)]

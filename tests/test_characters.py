@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import bd_table, bo_table, bt_table
+from zerofiber import characters
 from zerofiber.cyclotomic import Cyc
 from zerofiber.characters import (
     ClassFunction,
@@ -20,8 +22,8 @@ ALL_SPECS = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6",
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_tables_validate(spec):
-    # character_table validates orthogonality, degree sums and integrality on
-    # construction; reaching here means the table is certified
+    # character_table checks row orthonormality, column orthogonality and the
+    # degree sum on construction; mckay_graph certifies McKay integrality
     chars = character_table(GroupSpec.parse(spec))
     g = build_group(GroupSpec.parse(spec))
     assert len(chars) == len(g.classes)
@@ -181,3 +183,51 @@ def test_inner_product_matches_cyc_loop_on_raw_abelian_group():
     assert len(chars) == 7
     scaled = ClassFunction(tuple(v * Fraction(1, c + 1) for c, v in enumerate(chars[2].values)))
     assert_same_inner_products(g, list(chars) + [scaled])
+
+
+# -- the McKay sieve as the table constructor ------------------------------------
+
+def value_keys(chars):
+    """Each row's exact values, (m, num, den) per class."""
+    return {tuple((v.m, v.num, v.den) for v in chi.values) for chi in chars}
+
+
+@pytest.mark.parametrize("spec", [f"bd:{n}" for n in range(1, 13)] + ["bt", "bo"])
+def test_sieve_table_equals_the_closed_forms(spec):
+    """The sieve-built table is, value for value, the bd closed form or the
+    stored bt / bo table on the same classes."""
+    group = build_group(GroupSpec.parse(spec))
+    oracle = {"bt": bt_table, "bo": bo_table}.get(spec, bd_table)(group)
+    chars = character_table(GroupSpec.parse(spec))
+    assert len(chars) == len(oracle) == len(group.classes)
+    assert value_keys(chars) == value_keys(oracle)
+
+
+def test_sieve_raises_on_a_non_integral_multiplicity(monkeypatch):
+    # chi_V + lambda/2 has multiplicity 1/2 at the linear character lambda,
+    # which the sieve meets on its first decomposition
+    group = build_group(GroupSpec.parse("bd:2"))
+    lam = linear_characters(group)[1]
+    chi = defining_character(group) + ClassFunction(tuple(v * Fraction(1, 2) for v in lam.values))
+    monkeypatch.setattr(characters, "defining_character", lambda g: chi)
+    with pytest.raises(AssertionError, match="non-integral multiplicity 1/2"):
+        characters._mckay_sieve(group)
+
+
+def test_one_construction_per_table(monkeypatch):
+    """character_table runs the sieve once for every family but bi, and
+    bi (where the sieve stalls) uses its stored table alone."""
+    calls = []
+    sieve = characters._mckay_sieve
+
+    def counted(group):
+        calls.append(group.spec)
+        return sieve(group)
+
+    monkeypatch.setattr(characters, "_mckay_sieve", counted)
+    assert sieve(build_group(GroupSpec.parse("bi"))) is None
+    character_table.cache_clear()
+    specs = [GroupSpec.parse(s) for s in ("cyclic:6", "bd:1", "bd:3", "bt", "bo", "bi")]
+    for spec in specs:
+        character_table(spec)
+    assert calls == specs[:-1]

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from zerofiber.cyclotomic import Cyc, euler_phi
-from oracles import identity, kernel_basis, mat_mul, rref
-from zerofiber.linalg import CycMatrix, quat_matrix_embed, quat_row_key, quat_rref_key, rank
+from oracles import identity, kernel_basis, mat_mul, quat_matrix_embed, rref
+from zerofiber.linalg import CycMatrix, quat_row_key, quat_rref_key, rank
 from zerofiber.quaternion import Quaternion
 
 

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import pairwise_maximal
+from zerofiber import characters, mckay
+from zerofiber.characters import ClassFunction, character_table
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
 from zerofiber.mckay import (
     admissible_alpha,
@@ -302,3 +305,86 @@ def test_generic_on_hyperplane_certifies_every_root(spec):
         c = generic_on_hyperplane(ctx, alpha)
         assert dot(c, alpha) == 0
         assert dot(c, ctx.delta) == 1
+
+
+# -- the McKay matrix and its certificates ---------------------------------------
+
+def test_mckay_graph_certifies_integrality(monkeypatch):
+    """Tables carry no McKay check of their own: a table with a halved row
+    reaches mckay_graph, which rejects it."""
+    spec = S("bd:3")
+    table = character_table(spec)
+    bad = table[:-1] + (ClassFunction(tuple(v * Fraction(1, 2) for v in table[-1].values)),)
+    monkeypatch.setattr(mckay, "character_table", lambda sp: bad)
+    mckay_graph.cache_clear()
+    with pytest.raises(AssertionError, match="non-integral McKay multiplicity"):
+        mckay_graph(spec)
+
+
+def test_mckay_matrix_is_computed_once_per_spec(monkeypatch):
+    """Every reader of a table in one (Gamma, Delta) case shares the one
+    McKay matrix that mckay_graph computes; characters computes none."""
+    assert not hasattr(characters, "mckay_multiplicities")
+    calls = []
+    original = mckay.mckay_multiplicities
+
+    def counted(group, chars):
+        calls.append(group.spec)
+        return original(group, chars)
+
+    monkeypatch.setattr(mckay, "mckay_multiplicities", counted)
+    for fn in (character_table, mckay_graph, root_context):
+        fn.cache_clear()
+    for text, delta in [("bt", "comm"), ("bd:4", "cyc2"), ("cyclic:6", "comm")]:
+        spec = S(text)
+        sub = resolve_subgroup(build_group(spec), delta)
+        calls.clear()
+        character_table(spec)
+        for n in (1, 2, 3):
+            character_of_L(spec, sub, n)
+            dimension_bound_check(spec, sub, n)
+        ctx = root_context(spec)
+        generic_on_hyperplane(ctx, admissible_alpha(spec, sub))
+        dot_export(spec, sub)
+        assert calls == [spec]
+
+
+def proper_subgroups(text):
+    """The proper subgroups the catalogue tests use: comm and cyc2, and for
+    cyclic groups every proper subgroup, by a generator power."""
+    group = build_group(S(text))
+    names = ["comm"] + (["cyc2"] if text.startswith("bd:") else [])
+    if text.startswith("cyclic:"):
+        ell = group.order
+        names += [f"gens:{group.power(group.gen_indices[0], d)}"
+                  for d in range(2, ell) if ell % d == 0]
+    subs = {}
+    for name in names:
+        sub = resolve_subgroup(group, name)
+        if sub.order < group.order:
+            subs.setdefault(sub.indices, sub)
+    return list(subs.values())
+
+
+MAXIMALITY_PAIRS = [(text, sub) for text in ([f"cyclic:{ell}" for ell in range(2, 31)]
+                                             + [f"bd:{n}" for n in range(1, 13)]
+                                             + ["bt", "bo", "bi"])
+                    for sub in proper_subgroups(text)]
+
+
+def test_one_step_maximality_matches_the_pairwise_filter():
+    """On every proper (Gamma, Delta) of the catalogue, the admissible
+    candidates that no a + alpha_i dominates are those that no candidate
+    dominates."""
+    assert len(MAXIMALITY_PAIRS) > 100
+    for text, sub in MAXIMALITY_PAIRS:
+        spec = S(text)
+        ctx = root_context(spec)
+        j_vertices = [v for v in mckay._linear_trivial_on(spec, sub) if v]
+        candidates = {a for a in ctx.positive_roots
+                      if [a[v] for v in j_vertices].count(1) == 1
+                      and all(a[v] in (0, 1) for v in j_vertices)}
+        assert candidates, (text, sub.name)
+        maximal = mckay._maximal(candidates, ctx.finite_vertices)
+        assert sorted(maximal) == sorted(pairwise_maximal(candidates)), (text, sub.name)
+        assert admissible_alpha(spec, sub) in maximal

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import identity, mat_mul, rref, structural_fix_codim
+from oracles import (identity, mat_mul, quat_matrix_embed, quaternion_matrix, rref,
+                     structural_fix_codim)
 from test_linalg import column_rref_key, rand_quat
 from zerofiber import wreath
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
-from zerofiber.linalg import quat_matrix_embed
 from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import (
     MonomialElement,
@@ -69,7 +69,7 @@ def scan_reflections(ctx: WreathContext) -> list[Reflection]:
 def dense_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
     """rank of r - 1 on the full 2n-dimensional complex restriction: the
     dense computation that the block rank on the moved coordinates replaced."""
-    emb = quat_matrix_embed(ctx.quaternion_matrix(el))
+    emb = quat_matrix_embed(quaternion_matrix(ctx, el))
     one = Cyc.one(ctx.group.conductor)
     shifted = tuple(tuple(v - one if i == j else v for j, v in enumerate(row))
                     for i, row in enumerate(emb))
@@ -122,6 +122,37 @@ def test_appendix_enumerates_reflections_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_complex_trace_matches_the_dense_trace():
+    """The trace from the fixed coordinates' group traces equals the trace
+    of the dense 2n x 2n complex matrix, on reflections and on random
+    elements."""
+    rng = random.Random(29)
+    for gamma, delta, n in [("bd:3", "whole", 2), ("bt", "comm", 2), ("cyclic:5", "whole", 3)]:
+        c = ctx_of(gamma, delta, n)
+        elements = [r.element for r in reflections(c)] + rng.sample(list(c.elements()), 40)
+        for el in elements:
+            emb = quat_matrix_embed(quaternion_matrix(c, el))
+            dense = sum((emb[i][i] for i in range(2 * n)), Cyc.zero(c.group.conductor))
+            assert c.complex_trace(el) == dense
+
+
+def test_pairing_sum_pairs_each_unordered_pair_once(monkeypatch):
+    calls = []
+    original = wreath.hermitian_form
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(wreath, "hermitian_form", counted)
+    c = ctx_of("bd:2", "whole", 2)
+    rep = appendix_checks(c, enforce_caps=False)
+    assert rep.pairing_sum == "pass"
+    nstar = rep.numerology.Nstar
+    # one norm per hyperplane for (ii), then one pairing per unordered pair
+    assert len(calls) == nstar + nstar * (nstar + 1) // 2
+
+
 def test_wreath_orders():
     assert ctx_of("cyclic:2", "whole", 2).order == 8
     assert ctx_of("bd:2", "cyc2", 2).order == 64
@@ -167,7 +198,7 @@ def test_row_times_equals_the_dense_product():
         for _ in range(60):
             el = rng.choice(elements)
             row = tuple(rand_quat(rng, m, 0.3) for _ in range(n))
-            mat = c.quaternion_matrix(el)
+            mat = quaternion_matrix(c, el)
             dense = tuple(sum((row[p] * mat[p][j] for p in range(n)), Quaternion.zero(m))
                           for j in range(n))
             assert c.row_times(row, el) == dense
@@ -265,7 +296,7 @@ def test_g_h_k_relation_and_order_two_equality():
         # order of the monomial element: brute force via matrix powers
         codim = structural_fix_codim(c, el)
         assert codim == 1
-        emb = quat_matrix_embed(c.quaternion_matrix(el))
+        emb = quat_matrix_embed(quaternion_matrix(c, el))
         acc = emb
         o = 1
         ident = identity(4, c.group.conductor)
