@@ -8,6 +8,14 @@ confirming them by their kernel rank, deduplicating the hyperplanes and
 testing irreducibility.  GAMMA is a group spec such as ``bt`` or
 ``cyclic:4``; DELTA is ``whole``, ``comm``, ``cyc2`` or a list of generator
 indices, as ``resolve_subgroup`` reads it.
+
+    zerofiber ledger GAMMA
+
+prints the zero fibre of C^2 / GAMMA as one JSON object: its degree, the
+status of every displayed identity, the Molien certificate of the invariant
+ring, the verdict of ``GroebnerBasis.verify`` on the reduced basis, and the
+wall seconds of each stage.  It exits with 1 when the verification or a
+ledger entry fails.
 """
 
 from __future__ import annotations
@@ -16,14 +24,18 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 
 from .groups import GroupSpec, build_group, resolve_subgroup
+from .invariants import (_molien_certificate, fundamental_invariants, invariant_ideal_basis,
+                         zero_fiber_degree)
+from .ledger import verify_identity_ledger
 from .wreath import (WreathContext, confirm_reflections, hyperplanes, numerology_report,
                      reflections)
 
 
-def report(ctx: WreathContext) -> dict:
-    """The numerology report of ctx as a JSON-ready dict, with stage times."""
+def _stage_timer() -> tuple[dict[str, float], Callable]:
+    """A dict of stage wall seconds and the function that runs and times a stage."""
     seconds = {}
 
     def stage(name, fn, *args):
@@ -32,6 +44,12 @@ def report(ctx: WreathContext) -> dict:
         seconds[name] = round(time.perf_counter() - start, 6)
         return result
 
+    return seconds, stage
+
+
+def report(ctx: WreathContext) -> dict:
+    """The numerology report of ctx as a JSON-ready dict, with stage times."""
+    seconds, stage = _stage_timer()
     refl = stage("reflections", reflections, ctx, False)
     stage("confirmation", confirm_reflections, ctx, refl)
     planes = stage("hyperplanes", hyperplanes, ctx, refl)
@@ -46,15 +64,58 @@ def report(ctx: WreathContext) -> dict:
     }
 
 
+def _verdict(gb) -> str:
+    try:
+        gb.verify()
+    except AssertionError as exc:
+        return f"fail: {exc}"
+    return "pass"
+
+
+def ledger_report(spec: GroupSpec) -> dict:
+    """The zero fibre of spec, its ledger and its certificates as a JSON-ready
+    dict, with stage times.  The certificate stage runs the check that
+    ``invariant_ideal_basis`` makes, so that its result can be shown; the
+    basis stage then makes it again, before Buchberger's algorithm."""
+    seconds, stage = _stage_timer()
+    group = stage("closure", build_group, spec)
+    gens = stage("invariants", fundamental_invariants, spec)
+    cert = stage("certificate", _molien_certificate, list(gens), group)
+    gb = stage("basis", invariant_ideal_basis, spec)
+    degree = stage("zero_fiber", zero_fiber_degree, spec)
+    entries = stage("ledger", verify_identity_ledger, spec)
+    verdict = stage("verify", _verdict, gb)
+    return {
+        "gamma": str(spec), "order": group.order, "zero_fiber_degree": degree,
+        "ledger": {e.name: e.status for e in entries},
+        "certificate": {"hsop_degrees": list(cert.hsop_degrees), "d_c": cert.d_c, "s": cert.s},
+        "verify": verdict,
+        "stage_seconds": seconds,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
-        prog="zerofiber", description="Exact numerology of quaternionic wreath groups.")
+        prog="zerofiber",
+        description="Exact numerology of quaternionic wreath groups and zero fibres of C^2/Gamma.")
     sub = ap.add_subparsers(dest="command", required=True)
     rp = sub.add_parser("report", help="numerology report of W_n(Gamma, Delta) as JSON")
     rp.add_argument("gamma", help="group spec, e.g. bt, bd:3, cyclic:4")
     rp.add_argument("delta", help="normal subgroup: whole, comm, cyc2 or generator indices")
     rp.add_argument("n", type=int, help="rank n >= 1")
+    lp = sub.add_parser("ledger", help="zero fibre, identity ledger and certificates as JSON")
+    lp.add_argument("gamma", help="group spec, e.g. bt, bd:3, cyclic:4")
     args = ap.parse_args(argv)
+    if args.command == "ledger":
+        try:
+            spec = GroupSpec.parse(args.gamma)
+        except ValueError as exc:
+            ap.error(f"ledger {args.gamma}: {exc}")
+        out = ledger_report(spec)
+        json.dump(out, sys.stdout)
+        sys.stdout.write("\n")
+        failed = out["verify"] != "pass" or "failed" in out["ledger"].values()
+        return 1 if failed else 0
     if args.n < 1:
         ap.error(f"n must be at least 1, got {args.n}")
     try:

@@ -2,15 +2,19 @@
 exact invariant dimensions, Molien series, and zero-fiber degrees.
 
 The invariant ring of a finite subgroup of SL_2 acting on C[x,y] is
-generated by the classical fundamental invariants; the ideal they generate
-is the positive-degree invariant ideal, and the dimension of its quotient
-is the degree of the zero fiber.
+generated by the classical fundamental invariants f1, f2, f3.  This is not
+taken on trust: ``invariant_ideal_basis`` certifies it in every degree from
+the Molien series (Stanley, Bull. AMS 1 (1979)), so the ideal the f_i
+generate is the whole positive-degree invariant ideal, and the dimension of
+its quotient is the degree of the zero fiber.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple, NoReturn
 
 from .cyclotomic import Cyc
 from .groebner import GroebnerBasis, buchberger
@@ -166,21 +170,87 @@ def molien_coeffs(group: FiniteGroup, D: int) -> list[int]:
     return out
 
 
+class MolienCertificate(NamedTuple):
+    """What ``_molien_certificate`` proved: with (f_a, f_b) of degrees
+    hsop_degrees and f_c the third invariant, the invariant ring is the free
+    C[f_a, f_b]-module on 1, f_c, ..., f_c^(s-1), in degrees 0, d_c, ...,
+    (s-1) d_c."""
+
+    hsop_degrees: tuple[int, int]
+    d_c: int
+    s: int
+
+
+def _molien_certificate(gens: list[Poly2], group: FiniteGroup) -> MolienCertificate:
+    """Prove that the invariants gens = (f1, f2, f3) generate C[x,y]^G in every degree.
+
+    The f_i are taken to be G-invariant; ``fundamental_invariants`` asserts
+    that.  Each check raises an AssertionError naming the group and itself.
+
+    - homogeneous: every f_i is homogeneous.
+    - hsop: (f_a, f_b) is the first pair, in order of d_a d_b, whose Groebner
+      basis is zero dimensional.  Then A = C[f_a, f_b] is a polynomial ring
+      and C[x,y] is a free A-module; so is the invariant ring R, because the
+      Reynolds operator is an A-linear retraction onto it.  The same
+      retraction gives R ∩ (f_a, f_b) = A_+ R, so R / A_+ R embeds in
+      C[x,y] / (f_a, f_b), whose top degree is D = d_a + d_b - 2.
+    - Molien numerator: the Molien series of R times (1 - t^d_a)(1 - t^d_b)
+      is the polynomial P(t) that counts a basis of R over A by degree, and
+      deg P <= D, so the Molien coefficients up to D fix it.  P must be
+      1 + t^d_c + ... + t^((s-1) d_c).
+    - secondaries: f_c^k lies outside (f_a, f_b) for 0 < k < s.  Then f_c^k
+      is nonzero in R / A_+ R, whose degrees are the multiples k d_c with
+      k < s, each of dimension one; so deg f_c = d_c, and f_c^k spans degree
+      k d_c.
+
+    By graded Nakayama the powers f_c^k generate R over A, so
+    R = C[f1, f2, f3], with no cap on the degree.
+    """
+    def fail(check: str, why: str) -> NoReturn:
+        raise AssertionError(f"invariant certificate of {group.spec}: {check} check failed: {why}")
+
+    degs = [f.degree() for f in gens]
+    for f, d in zip(gens, degs):
+        if any(a + b != d for a, b in f.terms):
+            fail("homogeneous", f"generator {f} is not homogeneous")
+    pairs = sorted(combinations(range(len(gens)), 2), key=lambda ij: degs[ij[0]] * degs[ij[1]])
+    for a, b in pairs:
+        hsop = buchberger([gens[a], gens[b]])
+        if hsop.is_zero_dimensional:
+            break
+    else:
+        fail("hsop", f"no pair of the generators of degrees {degs} has a finite quotient")
+    (c,) = set(range(len(gens))) - {a, b}
+    D = degs[a] + degs[b] - 2
+    M = molien_coeffs(group, D)
+    P = [M[k] - (M[k - degs[a]] if k >= degs[a] else 0) - (M[k - degs[b]] if k >= degs[b] else 0)
+         for k in range(D + 1)]
+    exps = [k for k, m in enumerate(P) if m]
+    d_c = exps[1] if len(exps) > 1 else degs[c]
+    if any(m not in (0, 1) for m in P) or exps != [k * d_c for k in range(len(exps))]:
+        fail("Molien numerator",
+             f"P(t) = {P} over the hsop of degrees {degs[a]}, {degs[b]} is not "
+             f"1 + t^d + ... + t^((s-1)d)")
+    s = len(exps)
+    power = Poly2.constant(1)
+    for k in range(1, s):
+        power = power * gens[c]
+        if hsop.reduce(power).is_zero():
+            fail("secondary", f"f_c^{k} vanishes modulo the hsop, so the powers of f_c = "
+                              f"generator {c + 1} cannot fill the degrees of P(t) = {P}")
+    return MolienCertificate((degs[a], degs[b]), d_c, s)
+
+
 @lru_cache(maxsize=None)
 def invariant_ideal_basis(spec: GroupSpec) -> GroebnerBasis:
-    """Reduced Groebner basis of the fundamental-invariant ideal, with a
-    coverage check: every Reynolds average of a monomial of degree up to
-    max deg(f_i) lies in the ideal."""
+    """Reduced Groebner basis of the fundamental-invariant ideal.
+
+    ``_molien_certificate`` first proves that the fundamental invariants
+    generate the invariant ring in every degree, so this is the ideal of all
+    positive-degree invariants."""
     gens = list(fundamental_invariants(spec))
-    gb = buchberger(gens)
-    group = build_group(spec)
-    top = max(f.degree() for f in gens)
-    monos = [Poly2.monomial(i, d - i) for d in range(1, top + 1) for i in range(d + 1)]
-    for mono, r in zip(monos, reynolds_many(group, monos)):
-        if not r.is_zero() and not gb.contains(r):
-            raise AssertionError(
-                f"invariant of degree {mono.degree()} outside the fundamental ideal for {spec}")
-    return gb
+    _molien_certificate(gens, build_group(spec))
+    return buchberger(gens)
 
 
 def zero_fiber_degree(spec: GroupSpec) -> int:

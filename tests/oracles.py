@@ -11,14 +11,20 @@ criterion that the kernel rank certifies.
 ``bd_table``, ``bt_table`` and ``bo_table`` are the closed-form and stored
 character tables that the McKay sieve replaced, and ``pairwise_maximal``
 is the O(c^2) maximality filter that ``mckay._maximal`` replaced.
+
+``reynolds_coverage_basis`` is the Reynolds coverage check that the Molien
+certificate of ``invariants.invariant_ideal_basis`` replaced.
 """
 
 from __future__ import annotations
 
 from zerofiber.characters import ClassFunction, linear_characters
 from zerofiber.cyclotomic import Cyc
-from zerofiber.groups import FiniteGroup
+from zerofiber.groebner import GroebnerBasis, buchberger
+from zerofiber.groups import FiniteGroup, GroupSpec, build_group
+from zerofiber.invariants import fundamental_invariants, reynolds_many
 from zerofiber.linalg import CycMatrix
+from zerofiber.poly2 import Poly2
 from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import MonomialElement, WreathContext
 
@@ -253,3 +259,21 @@ def pairwise_maximal(candidates) -> list[tuple[int, ...]]:
     """The coefficientwise-maximal vectors, by comparing every pair."""
     return [a for a in candidates
             if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in candidates)]
+
+
+# -- invariant ideals --------------------------------------------------------------
+
+def reynolds_coverage_basis(spec: GroupSpec) -> GroebnerBasis:
+    """Reduced Groebner basis of the fundamental-invariant ideal, with the
+    Reynolds coverage check: every Reynolds average of a monomial of degree
+    up to max deg(f_i) lies in the ideal."""
+    gens = list(fundamental_invariants(spec))
+    gb = buchberger(gens)
+    group = build_group(spec)
+    top = max(f.degree() for f in gens)
+    monos = [Poly2.monomial(i, d - i) for d in range(1, top + 1) for i in range(d + 1)]
+    for mono, r in zip(monos, reynolds_many(group, monos)):
+        if not r.is_zero() and not gb.contains(r):
+            raise AssertionError(
+                f"invariant of degree {mono.degree()} outside the fundamental ideal for {spec}")
+    return gb

@@ -10,6 +10,7 @@ import pytest
 
 from zerofiber import cli
 from zerofiber.cli import main
+from zerofiber.groebner import GroebnerBasis
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -52,6 +53,46 @@ def test_oversized_conductor_is_rejected_before_the_group_is_built(capsys, monke
         main(["report", "cyclic:10001", "whole", "1"])
     assert exc.value.code == 2
     assert "cyclic:10001" in capsys.readouterr().err
+
+
+def test_ledger_prints_the_zero_fibre_and_its_certificates(capsys):
+    assert main(["ledger", "bi"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["gamma"], out["order"], out["zero_fiber_degree"]) == ("bi", 120, 239)
+    assert out["ledger"] == {"bi:g1": "verified", "bi:g2": "verified", "bi:g3": "corrected",
+                             "bi:g4": "corrected", "bi:h1": "verified", "bi:h2": "corrected",
+                             "bi:g5": "verified", "bi:S-leads": "verified"}
+    assert out["certificate"] == {"hsop_degrees": [12, 20], "d_c": 30, "s": 2}
+    assert out["verify"] == "pass"
+    seconds = out["stage_seconds"]
+    assert list(seconds) == ["closure", "invariants", "certificate", "basis", "zero_fiber",
+                             "ledger", "verify"]
+    assert all(s >= 0 for s in seconds.values())
+
+
+def test_ledger_of_a_cyclic_group(capsys):
+    assert main(["ledger", "cyclic:5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["zero_fiber_degree"] == 9 and out["ledger"] == {"cyclic:span": "verified"}
+    assert out["certificate"] == {"hsop_degrees": [5, 5], "d_c": 2, "s": 5}
+
+
+def test_ledger_reports_a_failed_verification(capsys, monkeypatch):
+    def broken(self):
+        raise AssertionError("cofactor certificate mismatch")
+
+    monkeypatch.setattr(GroebnerBasis, "verify", broken)
+    assert main(["ledger", "bt"]) == 1
+    assert json.loads(capsys.readouterr().out)["verify"] == "fail: cofactor certificate mismatch"
+
+
+@pytest.mark.parametrize("spec", ["nosuch", "cyclic:0", "bd:x"])
+def test_ledger_rejects_a_bad_spec_naming_it(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ledger", spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "zerofiber: error:" in err and f"ledger {spec}" in err
 
 
 def test_console_script_entry_point(capsys):

@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reynolds_coverage_basis
+from zerofiber import invariants
 from zerofiber.groups import GroupSpec, build_group, builtin_generators, close
 from zerofiber.invariants import (
+    MolienCertificate,
+    _molien_certificate,
     fundamental_invariants,
     invariant_dim,
     invariant_ideal_basis,
@@ -12,6 +16,7 @@ from zerofiber.invariants import (
     reynolds_many,
     zero_fiber_degree,
 )
+from zerofiber.ledger import verify_identity_ledger
 from zerofiber.poly2 import Poly2, act, from_int_terms
 
 
@@ -187,3 +192,74 @@ def test_ideal_basis_matches_recorded(spec):
     gb = invariant_ideal_basis(S(spec))
     assert [str(p) for p in gb.polys] == RECORDED_BASES[spec]
     assert zero_fiber_degree(S(spec)) == 2 * build_group(S(spec)).order - 1
+
+
+@pytest.mark.parametrize("spec", sorted(RECORDED_BASES))
+def test_certificate_path_matches_the_reynolds_oracle(spec):
+    """The Molien-certified basis is the one the Reynolds coverage check
+    accepts, with the same cofactors."""
+    gb, oracle = invariant_ideal_basis(S(spec)), reynolds_coverage_basis(S(spec))
+    assert gb.polys == oracle.polys
+    assert gb.cofactors == oracle.cofactors
+
+
+def expected_certificate(spec):
+    """hsop degrees, d_c and s: C[x,y]^G is free over C[f_a, f_b] on 1, f_c, ..., f_c^(s-1)."""
+    fam, n = spec.family, spec.param
+    if fam == "cyclic":
+        return MolienCertificate((n, n), 2, n)
+    if fam == "bd":
+        return MolienCertificate((4, 2 * n), 2 * n + 2, 2)
+    return {"bt": MolienCertificate((6, 8), 12, 2), "bo": MolienCertificate((12, 8), 18, 2),
+            "bi": MolienCertificate((12, 20), 30, 2)}[fam]
+
+
+@pytest.mark.parametrize("spec", [f"cyclic:{l}" for l in range(1, 31)]
+                         + [f"bd:{n}" for n in range(1, 16)] + ["bt", "bo", "bi"])
+def test_certificate_sweep_past_the_catalogue(spec):
+    group = build_group(S(spec))
+    cert = _molien_certificate(list(fundamental_invariants(S(spec))), group)
+    assert cert == expected_certificate(S(spec))
+    assert zero_fiber_degree(S(spec)) == 2 * group.order - 1
+
+
+def _wrong_lists():
+    X, Y, xy = Poly2.x, Poly2.y, Poly2.x() * Poly2.y()
+    fa, fb, fc = fundamental_invariants(S("bt"))
+    yield "bt", [fa, fb, fc + fa * fb], "homogeneous"
+    yield "cyclic:4", [X(4), xy, X(4) * Y(4)], "hsop"
+    # (x^4, y^8) is the hsop; over it P(t) = (1 + t^2 + t^4 + t^6)(1 + t^4)
+    yield "cyclic:4", [X(4), xy, Y(8)], "Molien numerator"
+    # f1^2 and f2^2 leave out the secondaries of degree 6 and 8
+    yield "bt", [fa * fa, fb * fb, fc], "Molien numerator"
+    for spec in ("bd:3", "bt", "bo", "bi"):
+        f1, f2, f3 = fundamental_invariants(S(spec))
+        yield spec, [f1, f2, f3 * f3], "secondary"
+    yield "cyclic:4", [X(4), X(2) * Y(2), Y(4)], "secondary"
+
+
+@pytest.mark.parametrize("spec,gens,check", list(_wrong_lists()))
+def test_each_certificate_check_can_fail(spec, gens, check):
+    with pytest.raises(AssertionError) as exc:
+        _molien_certificate(gens, build_group(S(spec)))
+    assert f"invariant certificate of {spec}: {check} check failed" in str(exc.value)
+
+
+def test_zero_fiber_path_makes_no_reynolds_sweep(monkeypatch):
+    calls = []
+    real = invariants.reynolds_many
+
+    def counted(group, polys):
+        calls.append(len(polys))
+        return real(group, polys)
+
+    monkeypatch.setattr(invariants, "reynolds_many", counted)
+    fundamental_invariants.cache_clear()
+    invariant_ideal_basis.cache_clear()
+    for spec in sorted(RECORDED_BASES):
+        zero_fiber_degree(S(spec))
+        verify_identity_ledger(S(spec))
+    assert calls == []
+    # the counter does see a sweep
+    invariant_dim(build_group(S("bt")), 6)
+    assert calls == [7]
