@@ -1,13 +1,12 @@
 """Exact character tables for the catalogue groups.
 
-Every table but bi's is built by the McKay sieve: the linear characters
-(the cyclic-extension algorithm on the abelianization) and chi_V, then the
-new constituents of chi * chi_V and their linear twists until every class
-has its character.  The sieve stalls on E8, so bi ships a stored exact
-table over Q(zeta_5), matched to the enumerated conjugacy classes by
-element order and defining trace.  Each table is certified on construction
-by row orthonormality, column orthogonality and the degree sum; the
-integrality of its McKay multiplicities is certified by ``mckay_graph``.
+Every table is built by the McKay sieve: the linear characters (the
+cyclic-extension algorithm on the abelianization) and chi_V, then the new
+constituents of chi * chi_V with their linear twists and Galois conjugates
+until every class has its character.  Each table is certified on
+construction by row orthonormality, column orthogonality and the degree
+sum; the integrality of its McKay multiplicities is certified by
+``mckay_graph``.
 """
 
 from __future__ import annotations
@@ -48,6 +47,11 @@ class ClassFunction:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
+
+
+def _key(chi: ClassFunction) -> tuple:
+    """The exact values as plain integers, (m, num, den) per class."""
+    return tuple((v.m, v.num, v.den) for v in chi.values)
 
 
 def inner_product(group: FiniteGroup, a: ClassFunction, b: ClassFunction) -> Fraction:
@@ -151,7 +155,7 @@ def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
             for c in group.classes
         )
         out.append(ClassFunction(vals))
-    out.sort(key=lambda cf: tuple((v.m, v.num, v.den) for v in cf.values))
+    out.sort(key=_key)
     # trivial first
     triv = trivial_character(group)
     out.remove(next(cf for cf in out if cf.values == triv.values))
@@ -163,49 +167,6 @@ def kernel_contains(group: FiniteGroup, chi: ClassFunction, sub: Subgroup) -> bo
 
 
 # -- full tables ---------------------------------------------------------------
-
-def _bi_table(group: FiniteGroup) -> list[ClassFunction]:
-    """The stored E8 table (the McKay sieve stalls on bi).  Its entries are
-    small integer combinations of tau = (1 + sqrt 5)/2 and its conjugate.
-    Its columns are the classes 1a 2a 4a 3a 6a 5a 5b 10a 10b, found by
-    element order and, for the two classes of order 5 and of order 10, by
-    trace."""
-    m = group.conductor
-    z5 = Cyc.zeta(m, m // 5)
-    tau = -(z5 ** 2 + z5 ** 3)        # (1+sqrt5)/2
-    taub = -(z5 + z5 ** 4)            # (1-sqrt5)/2
-    columns = []
-    for order, trace in ((1, None), (2, None), (4, None), (3, None), (6, None),
-                         (5, -taub), (5, -tau), (10, tau), (10, taub)):
-        matches = [cid for cid, cls in enumerate(group.classes)
-                   if group.element_order[cls[0]] == order
-                   and (trace is None or group.trace(cls[0]) == trace)]
-        if len(matches) != 1:
-            raise AssertionError(f"bi class of order {order} matched {len(matches)} classes")
-        columns.append(matches[0])
-
-    def c(v):
-        return Cyc.rational(v, m)
-
-    rows = [
-        [c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1)],
-        [c(2), c(-2), c(0), c(-1), c(1), -taub, -tau, tau, taub],
-        [c(2), c(-2), c(0), c(-1), c(1), -tau, -taub, taub, tau],
-        [c(3), c(3), c(-1), c(0), c(0), taub, tau, tau, taub],
-        [c(3), c(3), c(-1), c(0), c(0), tau, taub, taub, tau],
-        [c(4), c(-4), c(0), c(1), c(-1), c(-1), c(-1), c(1), c(1)],
-        [c(4), c(4), c(0), c(1), c(1), c(-1), c(-1), c(-1), c(-1)],
-        [c(5), c(5), c(1), c(-1), c(-1), c(0), c(0), c(0), c(0)],
-        [c(6), c(-6), c(0), c(0), c(0), c(1), c(1), c(-1), c(-1)],
-    ]
-    out = []
-    for row in rows:
-        vals = [None] * len(group.classes)
-        for cid, v in zip(columns, row):
-            vals[cid] = v
-        out.append(ClassFunction(tuple(vals)))
-    return out
-
 
 def validate_table(group: FiniteGroup, chars: list[ClassFunction]) -> None:
     k = len(group.classes)
@@ -232,33 +193,50 @@ def validate_table(group: FiniteGroup, chars: list[ClassFunction]) -> None:
         raise AssertionError(f"sum of squared degrees {total} != |G| = {group.order}")
 
 
-def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction] | None:
+def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction]:
     """The irreducible characters from the linear ones and chi_V: decompose
     chi * chi_V for each known chi, strip its known constituents, and keep a
-    remainder of norm 1 together with its linear twists.  Returns None if it
-    stalls (type E8), else the full set of irreducibles.  Raises
-    ``AssertionError`` on a multiplicity that is not a non-negative integer."""
+    remainder of norm 1 together with its linear twists and its images
+    sigma_k o chi under every unit k of the conductor (zeta -> zeta^k).
+
+    The Galois closure is sound: sigma_k o chi is the character of the
+    representation with sigma_k applied to its entries, and
+    <sigma chi, sigma chi> = sigma <chi, chi> = 1, so it is irreducible.  On
+    E8, where 6 * chi_V = 5 + 4' + 3' does not split, the conjugates 2' and
+    3' of 2 = chi_V and 3 supply the missing rows.
+
+    Raises ``AssertionError`` on a multiplicity that is not a non-negative
+    integer, on a value at another conductor, and when no product chi * chi_V
+    leaves a new irreducible before every class has its character.
+    """
+    m = group.conductor
+    units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
     known: list[ClassFunction] = list(linear_characters(group))
+    seen = {_key(chi) for chi in known}
     chi_v = defining_character(group)
 
     def push(chi):
-        if all(chi.values != k.values for k in known):
-            known.append(chi)
+        if any(v.m != m for v in chi.values):
+            raise AssertionError(f"McKay sieve met a value off conductor {m} on {group.spec}")
+        for k in units:
+            image = chi if k == 1 else ClassFunction(tuple(v.galois(k) for v in chi.values))
+            key = _key(image)
+            if key not in seen:
+                seen.add(key)
+                known.append(image)
 
     if inner_product(group, chi_v, chi_v) == 1:
         push(chi_v)
     target = len(group.classes)
-    progress = True
-    while len(known) < target and progress:
-        progress = False
+    while len(known) < target:
         for chi in list(known):
             rem = chi * chi_v
             for psi in known:
-                m = inner_product(group, rem, psi)
-                if m.denominator != 1 or m < 0:
-                    raise AssertionError(f"McKay sieve met the non-integral multiplicity {m}")
-                if m:
-                    rem = rem - psi.scale(int(m))
+                mult = inner_product(group, rem, psi)
+                if mult.denominator != 1 or mult < 0:
+                    raise AssertionError(f"McKay sieve met the non-integral multiplicity {mult}")
+                if mult:
+                    rem = rem - psi.scale(int(mult))
             if rem.is_zero():
                 continue
             if inner_product(group, rem, rem) == 1:
@@ -266,21 +244,17 @@ def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction] | None:
                 for lin in known[:]:
                     if lin.degree == 1:
                         push(rem * lin)
-                progress = True
                 break
-    return known if len(known) == target else None
+        else:
+            raise AssertionError(
+                f"McKay sieve stalled on {group.spec}: {len(known)} of {target} characters")
+    return known
 
 
 @lru_cache(maxsize=None)
 def character_table(spec: GroupSpec) -> tuple[ClassFunction, ...]:
     group = build_group(spec)
-    if spec.family == "bi":
-        chars = _bi_table(group)
-    else:
-        chars = _mckay_sieve(group)
-        if chars is None:
-            raise AssertionError(f"McKay sieve unexpectedly stalled for {spec}")
-    chars = _sorted_rows(group, chars)
+    chars = _sorted_rows(group, _mckay_sieve(group))
     validate_table(group, chars)
     return tuple(chars)
 
@@ -289,13 +263,7 @@ def _sorted_rows(group: FiniteGroup, chars: list[ClassFunction]) -> list[ClassFu
     """Deterministic row order: trivial first, then by (degree, value key)."""
     triv = trivial_character(group)
 
-    def key(cf: ClassFunction):
-        return (
-            cf.degree.as_rational(),
-            tuple((v.m, v.num, v.den) for v in cf.values),
-        )
-
     rest = [c for c in chars if c.values != triv.values]
-    rest.sort(key=key)
+    rest.sort(key=lambda cf: (cf.degree.as_rational(), _key(cf)))
     return [triv] + rest
 

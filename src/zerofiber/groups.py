@@ -150,7 +150,6 @@ class FiniteGroup:
     inv: list[int] = field(default_factory=list)
     classes: list[tuple[int, ...]] = field(default_factory=list)
     class_of: list[int] = field(default_factory=list)
-    element_order: list[int] = field(default_factory=list)
 
     @property
     def order(self) -> int:
@@ -159,18 +158,6 @@ class FiniteGroup:
     def trace(self, idx: int) -> Cyc:
         g = self.elements[idx]
         return g[0] + g[3]
-
-    def power(self, idx: int, e: int) -> int:
-        if e < 0:
-            idx, e = self.inv[idx], -e
-        acc = 0
-        base = idx
-        while e:
-            if e & 1:
-                acc = self.mult[acc][base]
-            base = self.mult[base][base]
-            e >>= 1
-        return acc
 
     def conjugate(self, g: int, h: int) -> int:
         """g h g^{-1}."""
@@ -237,15 +224,6 @@ def close(generators: list[Mat2], cap: int = CLOSURE_CAP,
         inv=inv,
     )
 
-    orders = [0] * n
-    for a in range(n):
-        o, cur = 1, a
-        while cur != 0:
-            cur = mult[cur][a]
-            o += 1
-        orders[a] = o
-    group.element_order = orders
-
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
     for h in range(n):
@@ -281,8 +259,6 @@ class Subgroup:
     group: FiniteGroup
     name: str
     indices: tuple[int, ...]  # sorted element indices
-    is_normal: bool
-    abelian_quotient: bool
 
     @property
     def order(self) -> int:
@@ -323,25 +299,26 @@ def commutator_subgroup(group: FiniteGroup) -> tuple[int, ...]:
     return close_indices(group, comms)
 
 
-def _verify_subgroup(group: FiniteGroup, name: str, indices: tuple[int, ...]) -> Subgroup:
+def _verify_subgroup(group: FiniteGroup, name: str, indices: tuple[int, ...],
+                     comm: tuple[int, ...] | None = None) -> Subgroup:
+    """The subgroup, once it is checked normal with abelian quotient; ``comm``
+    is the commutator subgroup when the caller has already computed it."""
     iset = frozenset(indices)
-    normal = all(group.conjugate(g, h) in iset for g in range(group.order) for h in indices)
-    comm = commutator_subgroup(group)
-    abelian_q = set(comm) <= iset
-    if not normal:
+    if not all(group.conjugate(g, h) in iset for g in range(group.order) for h in indices):
         raise ValueError(f"subgroup {name!r} of {group.spec} is not normal")
-    if not abelian_q:
+    if not set(commutator_subgroup(group) if comm is None else comm) <= iset:
         raise ValueError(f"quotient by subgroup {name!r} of {group.spec} is not abelian")
-    return Subgroup(group, name, indices, normal, abelian_q)
+    return Subgroup(group, name, indices)
 
 
 def resolve_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
     """Resolve 'whole' | 'comm' | 'cyc2' | 'gens:i,j,...' to a verified subgroup."""
     spec = spec.strip().lower()
     if spec == "whole":
-        return Subgroup(group, "whole", tuple(range(group.order)), True, True)
+        return Subgroup(group, "whole", tuple(range(group.order)))
     if spec == "comm":
-        return _verify_subgroup(group, "comm", commutator_subgroup(group))
+        comm = commutator_subgroup(group)
+        return _verify_subgroup(group, "comm", comm, comm)
     if spec == "cyc2":
         if group.spec is None or group.spec.family != "bd":
             raise ValueError("cyc2 is the index-2 cyclic subgroup of a binary dihedral group")

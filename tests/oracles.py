@@ -8,9 +8,11 @@ monomial element; ``structural_fix_codim`` reads the quaternionic
 codimension of an element's fixed space off its cycle structure, the
 criterion that the kernel rank certifies.
 
-``bd_table``, ``bt_table`` and ``bo_table`` are the closed-form and stored
-character tables that the McKay sieve replaced, and ``pairwise_maximal``
-is the O(c^2) maximality filter that ``mckay._maximal`` replaced.
+``bd_table``, ``bt_table``, ``bo_table`` and ``bi_table`` are the
+closed-form and stored character tables that the McKay sieve replaced;
+``element_order`` and ``power`` read what they need off the multiplication
+table.  ``pairwise_maximal`` is the O(c^2) maximality filter that
+``mckay._maximal`` replaced.
 
 ``reynolds_coverage_basis`` is the Reynolds coverage check that the Molien
 certificate of ``invariants.invariant_ideal_basis`` replaced.
@@ -149,6 +151,22 @@ def quat_matrix_embed(qmat: tuple[tuple[Quaternion, ...], ...]) -> CycMatrix:
 
 # -- character tables ------------------------------------------------------------
 
+def power(group: FiniteGroup, idx: int, e: int) -> int:
+    """The index of g^e for e >= 0, by repeated multiplication."""
+    acc = 0
+    for _ in range(e):
+        acc = group.mult[acc][idx]
+    return acc
+
+
+def element_order(group: FiniteGroup, idx: int) -> int:
+    o, cur = 1, idx
+    while cur != 0:
+        cur = group.mult[cur][idx]
+        o += 1
+    return o
+
+
 def bd_table(group: FiniteGroup) -> list[ClassFunction]:
     """The four linear characters, then for k = 1..n-1 the 2-dimensional
     character with value tr(g^k) on the diagonal classes and 0 elsewhere."""
@@ -159,7 +177,7 @@ def bd_table(group: FiniteGroup) -> list[ClassFunction]:
         for cls in group.classes:
             rep = group.elements[cls[0]]
             if rep[1].is_zero() and rep[2].is_zero():
-                vals.append(group.trace(group.power(cls[0], k)))
+                vals.append(group.trace(power(group, cls[0], k)))
             else:
                 vals.append(Cyc.zero(m))
         chars.append(ClassFunction(tuple(vals)))
@@ -180,7 +198,7 @@ def _labelled_table(group: FiniteGroup, labels: dict[str, int], order: tuple[str
 
 def _unique_class(group: FiniteGroup, pred) -> int:
     matches = [cid for cid, cls in enumerate(group.classes)
-               if pred(group.element_order[cls[0]], len(cls), group.trace(cls[0]))]
+               if pred(element_order(group, cls[0]), len(cls), group.trace(cls[0]))]
     assert len(matches) == 1, matches
     return matches[0]
 
@@ -195,7 +213,7 @@ def bt_table(group: FiniteGroup) -> list[ClassFunction]:
               "2a": _unique_class(group, lambda o, s, t: o == 2),
               "4a": _unique_class(group, lambda o, s, t: o == 4)}
     threes = sorted(cid for cid, cls in enumerate(group.classes)
-                    if group.element_order[cls[0]] == 3)
+                    if element_order(group, cls[0]) == 3)
     assert len(threes) == 2
     labels["3a"] = threes[0]
     labels["3b"] = group.class_of[group.inv[group.classes[threes[0]][0]]]
@@ -249,6 +267,44 @@ def bo_table(group: FiniteGroup) -> list[ClassFunction]:
         [c(3), c(3), c(1), c(1), c(-1), c(-1), c(0), c(0)],
         [c(3), c(3), c(-1), c(-1), c(-1), c(1), c(0), c(0)],
         [c(4), c(-4), c(0), c(0), c(0), c(0), c(1), c(-1)],
+    ]
+    return _labelled_table(group, labels, tuple(preds), rows)
+
+
+def bi_table(group: FiniteGroup) -> list[ClassFunction]:
+    """The stored E8 table.  Its entries are small integer combinations of
+    tau = (1 + sqrt 5)/2 and its conjugate; the classes of order 5 and of
+    order 10 are told apart by their trace."""
+    m = group.conductor
+    z5 = Cyc.zeta(m, m // 5)
+    tau = -(z5 ** 2 + z5 ** 3)        # (1+sqrt5)/2
+    taub = -(z5 + z5 ** 4)            # (1-sqrt5)/2
+    preds = {
+        "1a": lambda o, s, t: o == 1,
+        "2a": lambda o, s, t: o == 2,
+        "4a": lambda o, s, t: o == 4,
+        "3a": lambda o, s, t: o == 3,
+        "6a": lambda o, s, t: o == 6,
+        "5a": lambda o, s, t: o == 5 and t == -taub,
+        "5b": lambda o, s, t: o == 5 and t == -tau,
+        "10a": lambda o, s, t: o == 10 and t == tau,
+        "10b": lambda o, s, t: o == 10 and t == taub,
+    }
+    labels = {lab: _unique_class(group, pred) for lab, pred in preds.items()}
+
+    def c(v):
+        return Cyc.rational(v, m)
+
+    rows = [
+        [c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1), c(1)],
+        [c(2), c(-2), c(0), c(-1), c(1), -taub, -tau, tau, taub],
+        [c(2), c(-2), c(0), c(-1), c(1), -tau, -taub, taub, tau],
+        [c(3), c(3), c(-1), c(0), c(0), taub, tau, tau, taub],
+        [c(3), c(3), c(-1), c(0), c(0), tau, taub, taub, tau],
+        [c(4), c(-4), c(0), c(1), c(-1), c(-1), c(-1), c(1), c(1)],
+        [c(4), c(4), c(0), c(1), c(1), c(-1), c(-1), c(-1), c(-1)],
+        [c(5), c(5), c(1), c(-1), c(-1), c(0), c(0), c(0), c(0)],
+        [c(6), c(-6), c(0), c(0), c(0), c(1), c(1), c(-1), c(-1)],
     ]
     return _labelled_table(group, labels, tuple(preds), rows)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import element_order
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import (
     GroupSpec,
@@ -65,7 +66,7 @@ def test_closure_orders(spec, order):
     assert g.order == order
     # all elements have det 1 and finite order dividing |G|
     for idx in range(g.order):
-        assert order % g.element_order[idx] == 0
+        assert order % element_order(g, idx) == 0
     assert mat_det2(g.elements[order - 1]) == 1
 
 
@@ -127,7 +128,7 @@ def test_whole_and_cyc2():
 
 def test_explicit_gens_subgroup():
     bd = build_group(GroupSpec.parse("bd:2"))
-    minus_one = next(i for i in range(8) if bd.element_order[i] == 2)
+    minus_one = next(i for i in range(8) if element_order(bd, i) == 2)
     sub = resolve_subgroup(bd, f"gens:{minus_one}")
     assert sub.order == 2
 
@@ -135,9 +136,33 @@ def test_explicit_gens_subgroup():
 def test_nonnormal_subgroup_rejected():
     bt = build_group(GroupSpec.parse("bt"))
     # an order-4 cyclic subgroup of 2T is not normal
-    idx = next(i for i in range(24) if bt.element_order[i] == 4)
-    with pytest.raises(ValueError):
+    idx = next(i for i in range(24) if element_order(bt, i) == 4)
+    with pytest.raises(ValueError, match="subgroup 'gens:.*' of bt is not normal"):
         resolve_subgroup(bt, f"gens:{idx}")
+
+
+def test_non_abelian_quotient_rejected():
+    bt = build_group(GroupSpec.parse("bt"))
+    # {+1, -1} is normal in 2T, with quotient the non-abelian A4
+    minus_one = next(i for i in range(24) if element_order(bt, i) == 2)
+    with pytest.raises(ValueError, match="quotient by subgroup 'gens:.*' of bt is not abelian"):
+        resolve_subgroup(bt, f"gens:{minus_one}")
+
+
+def test_comm_computes_the_commutator_subgroup_once(monkeypatch):
+    from zerofiber import groups
+
+    calls = []
+    real = groups.commutator_subgroup
+
+    def counted(group):
+        calls.append(group.spec)
+        return real(group)
+
+    monkeypatch.setattr(groups, "commutator_subgroup", counted)
+    bo = build_group(GroupSpec.parse("bo"))
+    assert resolve_subgroup(bo, "comm").order == 24
+    assert len(calls) == 1
 
 
 def test_mult_table_consistency():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import pairwise_maximal
+from oracles import pairwise_maximal, power
 from zerofiber import characters, mckay
 from zerofiber.characters import ClassFunction, character_table
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
@@ -356,7 +356,7 @@ def proper_subgroups(text):
     names = ["comm"] + (["cyc2"] if text.startswith("bd:") else [])
     if text.startswith("cyclic:"):
         ell = group.order
-        names += [f"gens:{group.power(group.gen_indices[0], d)}"
+        names += [f"gens:{power(group, group.gen_indices[0], d)}"
                   for d in range(2, ell) if ell % d == 0]
     subs = {}
     for name in names:
