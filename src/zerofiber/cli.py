@@ -4,10 +4,11 @@
 
 prints the N / N* / g / h / k report of W_N(GAMMA, DELTA) as one JSON
 object, with the wall seconds of each stage: enumerating the reflections,
-confirming them by their kernel rank, deduplicating the hyperplanes and
-testing irreducibility.  GAMMA is a group spec such as ``bt`` or
-``cyclic:4``; DELTA is ``whole``, ``comm``, ``cyc2`` or a list of generator
-indices, as ``resolve_subgroup`` reads it.
+confirming them by their kernel rank, deduplicating the hyperplanes, and
+the closed forms for g and for irreducibility (the stage keyed
+``irreducibility``).  GAMMA is a group spec such as ``bt`` or
+``cyclic:4``; DELTA is ``whole``, ``comm``, ``cyc2`` or ``gens:`` with
+comma-separated element indices, as ``resolve_subgroup`` reads it.
 
     zerofiber ledger GAMMA
 
@@ -53,7 +54,7 @@ def report(ctx: WreathContext) -> dict:
     refl = stage("reflections", reflections, ctx, False)
     stage("confirmation", confirm_reflections, ctx, refl)
     planes = stage("hyperplanes", hyperplanes, ctx, refl)
-    # the closed-form checks that come with the irreducibility test are O(N)
+    # O(N): the closed-form checks and irreducibility from (n, |Gamma|, |Delta|)
     rep = stage("irreducibility", numerology_report, ctx, refl, planes)
     return {
         "gamma": rep.gamma, "delta": rep.delta, "n": rep.n,

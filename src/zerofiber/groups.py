@@ -63,7 +63,12 @@ class GroupSpec:
             return GroupSpec(text)
         for prefix in ("cyclic", "bd"):
             if text.startswith(prefix + ":"):
-                return GroupSpec(prefix, int(text.split(":", 1)[1]))
+                try:
+                    param = int(text.split(":", 1)[1])
+                except ValueError:
+                    raise ValueError(
+                        f"group spec {text!r}: {prefix} needs an integer parameter") from None
+                return GroupSpec(prefix, param)
         raise ValueError(f"cannot parse group spec {text!r}")
 
     def __str__(self):
@@ -325,7 +330,11 @@ def resolve_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
         w1 = group.gen_indices[0]
         return _verify_subgroup(group, "cyc2", close_indices(group, {w1}))
     if spec.startswith("gens:"):
-        seeds = {int(t) for t in spec[5:].split(",") if t}
+        try:
+            seeds = {int(t) for t in spec[5:].split(",") if t}
+        except ValueError:
+            raise ValueError(
+                f"subgroup spec {spec!r}: generator indices must be integers") from None
         bad = [s for s in seeds if not 0 <= s < group.order]
         if bad:
             raise ValueError(f"generator indices out of range: {bad}")

@@ -11,10 +11,12 @@ one is confirmed by the complex-codimension-2 kernel computation in the
 2n-dimensional complex restriction.  r - 1 vanishes on every row and column
 of a coordinate that r neither permutes nor scales, so that rank is taken on
 the moved coordinates only: a 2 x 2 block for a reflection of type b and a
-4 x 4 block for type a.  Tests certify on small groups that the enumeration
-equals an element-by-element scan of W, that the structural criterion
-equals the kernel condition, and that the block rank equals the rank of the
-full 2n x 2n matrix.
+4 x 4 block for type a.  Whether W acts irreducibly on H^n is read off
+(n, |Gamma|, |Delta|) by a proven closed form, with no elimination.  Tests
+certify on small groups that the enumeration equals an element-by-element
+scan of W, that the structural criterion equals the kernel condition, that
+the block rank equals the rank of the full 2n x 2n matrix, and that the
+closed form equals a search for a W-stable subspace of the arrangement.
 """
 
 from __future__ import annotations
@@ -76,19 +78,6 @@ class WreathContext:
         """The unit quaternion of each element of Gamma, by element index."""
         return tuple(quat_from_matrix(mat) for mat in self.group.elements)
 
-    def row_times(self, row: tuple[Quaternion, ...],
-                  el: MonomialElement) -> tuple[Quaternion, ...]:
-        """row times the quaternion matrix of el, from the monomial shape:
-        column j of that matrix has the single entry q(gamma_{w(j)}), in
-        row w(j)."""
-        quats = self.unit_quaternions
-        out = []
-        for j in range(self.n):
-            i = el.perm[j]
-            x, g = row[i], el.gammas[i]
-            out.append(x if g == 0 or x.is_zero() else x * quats[g])
-        return tuple(out)
-
     def complex_trace(self, el: MonomialElement) -> Cyc:
         """tr_C(el) on the 2n-dimensional complex restriction.  Only the
         diagonal blocks count, at the coordinates i with perm[i] = i, and
@@ -137,10 +126,9 @@ def reflections(ctx: WreathContext, confirm: bool = True) -> list[Reflection]:
 
     Type b: the identity permutation with one coordinate delta in Delta - {1}.
     Type a: the transposition (p q), p < q, with gamma_p = gamma and
-    gamma_q = gamma^{-1} for each gamma in Gamma.  The list comes in the order
-    of ``ctx.raw_elements()``.  Each reflection is confirmed by the
-    complex-codimension-2 kernel computation when confirm is True, and the
-    count is checked against N = C(n, 2)|Gamma| + n(|Delta| - 1).
+    gamma_q = gamma^{-1} for each gamma in Gamma.  Each reflection is
+    confirmed by the complex-codimension-2 kernel computation when confirm is
+    True, and the count is checked against N = C(n, 2)|Gamma| + n(|Delta| - 1).
     """
     group, sub, n = ctx.group, ctx.sub, ctx.n
     ident = tuple(range(n))
@@ -156,12 +144,6 @@ def reflections(ctx: WreathContext, confirm: bool = True) -> list[Reflection]:
             gammas = [0] * n
             gammas[p], gammas[q] = g, group.inv[g]
             out.append(Reflection(MonomialElement(w, tuple(gammas)), "a", p, q, g))
-    # raw_elements() order: gamma_1..gamma_{n-1}, then the position in
-    # sub.indices of gamma_1...gamma_n (delta for type b, 1 for type a), then
-    # w, as itertools.permutations is lexicographic
-    position = {d: i for i, d in enumerate(sub.indices)}
-    out.sort(key=lambda r: (r.element.gammas[:-1],
-                            position[r.gamma if r.kind == "b" else 0], r.element.perm))
     if confirm:
         confirm_reflections(ctx, out)
     expected = _n_formula(group.order, sub.order, n)
@@ -247,61 +229,37 @@ class NumerologyReport:
         }
 
 
-def module_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]) -> bool:
-    """H^n irreducible as an H-linear W-module: no hyperplane and no total
-    intersection of the arrangement is W-stable (n = 1 is always
-    irreducible; H has no proper nonzero H-subspaces)."""
-    n = ctx.n
-    if n == 1:
-        return True
-    group = ctx.group
+def module_is_irreducible(ctx: WreathContext) -> bool:
+    """H^n is an irreducible H-linear W-module exactly when n = 1, or when
+    |Gamma| > 1 and (n, |Gamma|, |Delta|) != (2, 2, 1).
 
-    gens: list[MonomialElement] = []
-    ident = tuple(range(n))
-    swap01 = tuple([1, 0] + list(range(2, n)))
-    cycle = tuple(list(range(1, n)) + [0])
-    trivial_gammas = (0,) * n
-    gens.append(MonomialElement(swap01, trivial_gammas))
-    if n > 2:
-        gens.append(MonomialElement(cycle, trivial_gammas))
-    for g in group.gen_indices:
-        gam = list(trivial_gammas)
-        gam[0] = g
-        gam[1] = group.inv[g]
-        gens.append(MonomialElement(ident, tuple(gam)))
-    for d in ctx.sub.indices:
-        if d == 0:
-            continue
-        gam = list(trivial_gammas)
-        gam[0] = d
-        gens.append(MonomialElement(ident, tuple(gam)))
+    W acts on column vectors from the left and H on them from the right.
+    n = 1: H has no proper nonzero H-subspaces.  Otherwise let D be the
+    diagonal part of W; it acts on each line e_i H through gamma_i.  A D-map
+    e_i H -> e_j H is e_i x -> e_j q x for some q in H with q d_i = d_j q for
+    every d = (d_1, ..., d_n) in D.
 
-    def inverse(el: MonomialElement) -> MonomialElement:
-        winv = tuple(el.perm.index(j) for j in range(n))
-        gam = tuple(group.inv[el.gammas[el.perm[k]]] for k in range(n))
-        return MonomialElement(winv, gam)
+    - n >= 3, Gamma != 1: for gamma != 1 and k not in {i, j}, d = (gamma at i,
+      gamma^-1 at k) lies in D and gives q gamma = q, so q = 0.
+    - n = 2, Delta != 1: d = (delta, 1) with delta != 1 gives the same.
 
-    # the equation rows of g.V are those of V times the matrix of g^{-1}
-    inverses = [inverse(el) for el in gens]
+    In both cases the lines are pairwise non-isomorphic simple D-modules.  By
+    Maschke's theorem a W-stable subspace V is a sum of simple D-modules, and
+    each, isomorphic to some e_i H, projects to zero on every other line, so
+    V is a sum of lines.  The permutation matrices (all gamma_i = 1) lie in W
+    and move any line to any other, so V = 0 or V = H^n.
 
-    def stable(rows: tuple[tuple[Quaternion, ...], ...]) -> bool:
-        base = quat_rref_key(rows)
-        for el in inverses:
-            if quat_rref_key(tuple(ctx.row_times(row, el) for row in rows)) != base:
-                return False
-        return True
-
-    # the equation of H is sum_p conj(alpha_p) x_p = 0
-    total = tuple(tuple(q if q.is_zero() else q.conj() for q in h.alpha) for h in planes)
-    for row in total:
-        if stable((row,)):
-            return False
-    if planes:
-        key = quat_rref_key(total)
-        depth = len(key)
-        if 0 < depth < n and stable(total):
-            return False
-    return True
+    - n = 2, Delta = 1: the swap moves e_1 H to e_2 H, so a stable line is a
+      graph {(x, q x)}.  Stability under d = (gamma, gamma^-1) asks
+      q gamma = gamma^-1 q, and under the swap q^2 = 1.  Since
+      (a + v)^2 = a^2 - |v|^2 + 2av for real a and pure imaginary v,
+      q^2 = 1 forces q = +-1, so gamma = gamma^-1 for all gamma.
+      If |Gamma| >= 3 that fails, as +-1 are the only elements of order at
+      most 2 in SU(2).  If Gamma = {+-1}, q = 1 works: {(x, x)} is stable.
+    - Gamma = 1, n >= 2: W = S_n fixes (1, ..., 1).
+    """
+    n, gamma_order, delta_order = ctx.n, ctx.group.order, ctx.sub.order
+    return n == 1 or (gamma_order > 1 and (n, gamma_order, delta_order) != (2, 2, 1))
 
 
 def numerology(ctx: WreathContext) -> NumerologyReport:
@@ -312,7 +270,8 @@ def numerology(ctx: WreathContext) -> NumerologyReport:
 def numerology_report(ctx: WreathContext, refl: list[Reflection],
                       planes: list[Hyperplane]) -> NumerologyReport:
     """The report from the reflections and the hyperplanes, after the
-    closed-form checks on g and g + k = 2h and the irreducibility test."""
+    closed-form checks on g and g + k = 2h, with irreducibility from its
+    closed form."""
     n = ctx.n
     N, Nstar = len(refl), len(planes)
     g = Fraction(2 * N, n)
@@ -336,7 +295,7 @@ def numerology_report(ctx: WreathContext, refl: list[Reflection],
         g=g,
         h=h,
         k=k,
-        irreducible=module_is_irreducible(ctx, planes),
+        irreducible=module_is_irreducible(ctx),
     )
 
 

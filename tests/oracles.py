@@ -6,7 +6,10 @@ division that the division-free ``linalg.rank`` replaced; ``mat_mul`` and
 ``quat_matrix_embed`` build the dense quaternionic and complex matrices of a
 monomial element; ``structural_fix_codim`` reads the quaternionic
 codimension of an element's fixed space off its cycle structure, the
-criterion that the kernel rank certifies.
+criterion that the kernel rank certifies.  ``stability_search_is_irreducible``
+is the search for a W-stable hyperplane or total intersection of the
+arrangement that the closed form of ``wreath.module_is_irreducible``
+replaced; ``row_times`` moves its equation rows by monomial shape.
 
 ``bd_table``, ``bt_table``, ``bo_table`` and ``bi_table`` are the
 closed-form and stored character tables that the McKay sieve replaced;
@@ -25,10 +28,10 @@ from zerofiber.cyclotomic import Cyc
 from zerofiber.groebner import GroebnerBasis, buchberger
 from zerofiber.groups import FiniteGroup, GroupSpec, build_group
 from zerofiber.invariants import fundamental_invariants, reynolds_many
-from zerofiber.linalg import CycMatrix
+from zerofiber.linalg import CycMatrix, quat_rref_key
 from zerofiber.poly2 import Poly2
 from zerofiber.quaternion import Quaternion
-from zerofiber.wreath import MonomialElement, WreathContext
+from zerofiber.wreath import Hyperplane, MonomialElement, WreathContext
 
 
 def mat_mul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -150,6 +153,77 @@ def quat_matrix_embed(qmat: tuple[tuple[Quaternion, ...], ...]) -> CycMatrix:
 
 
 # -- character tables ------------------------------------------------------------
+
+def row_times(ctx: WreathContext, row: tuple[Quaternion, ...],
+              el: MonomialElement) -> tuple[Quaternion, ...]:
+    """row times the quaternion matrix of el, from the monomial shape:
+    column j of that matrix has the single entry q(gamma_{w(j)}), in
+    row w(j)."""
+    quats = ctx.unit_quaternions
+    out = []
+    for j in range(ctx.n):
+        i = el.perm[j]
+        x, g = row[i], el.gammas[i]
+        out.append(x if g == 0 or x.is_zero() else x * quats[g])
+    return tuple(out)
+
+
+def stability_search_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]) -> bool:
+    """No hyperplane and no total intersection of the arrangement is stable
+    under generators of W (n = 1 is always irreducible).  This looks for a
+    stable subspace among those two kinds only, so it is not a complete test
+    in general."""
+    n = ctx.n
+    if n == 1:
+        return True
+    group = ctx.group
+
+    gens: list[MonomialElement] = []
+    ident = tuple(range(n))
+    swap01 = tuple([1, 0] + list(range(2, n)))
+    cycle = tuple(list(range(1, n)) + [0])
+    trivial_gammas = (0,) * n
+    gens.append(MonomialElement(swap01, trivial_gammas))
+    if n > 2:
+        gens.append(MonomialElement(cycle, trivial_gammas))
+    for g in group.gen_indices:
+        gam = list(trivial_gammas)
+        gam[0] = g
+        gam[1] = group.inv[g]
+        gens.append(MonomialElement(ident, tuple(gam)))
+    for d in ctx.sub.indices:
+        if d == 0:
+            continue
+        gam = list(trivial_gammas)
+        gam[0] = d
+        gens.append(MonomialElement(ident, tuple(gam)))
+
+    def inverse(el: MonomialElement) -> MonomialElement:
+        winv = tuple(el.perm.index(j) for j in range(n))
+        gam = tuple(group.inv[el.gammas[el.perm[k]]] for k in range(n))
+        return MonomialElement(winv, gam)
+
+    # the equation rows of g.V are those of V times the matrix of g^{-1}
+    inverses = [inverse(el) for el in gens]
+
+    def stable(rows: tuple[tuple[Quaternion, ...], ...]) -> bool:
+        base = quat_rref_key(rows)
+        for el in inverses:
+            if quat_rref_key(tuple(row_times(ctx, row, el) for row in rows)) != base:
+                return False
+        return True
+
+    # the equation of H is sum_p conj(alpha_p) x_p = 0
+    total = tuple(tuple(q if q.is_zero() else q.conj() for q in h.alpha) for h in planes)
+    for row in total:
+        if stable((row,)):
+            return False
+    if planes:
+        depth = len(quat_rref_key(total))
+        if 0 < depth < n and stable(total):
+            return False
+    return True
+
 
 def power(group: FiniteGroup, idx: int, e: int) -> int:
     """The index of g^e for e >= 0, by repeated multiplication."""

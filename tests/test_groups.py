@@ -22,6 +22,12 @@ def test_spec_parse_roundtrip():
         GroupSpec.parse("nope")
 
 
+@pytest.mark.parametrize("text", ["bd:x", "cyclic:", "cyclic:2.5"])
+def test_a_non_integer_parameter_is_rejected_naming_the_spec(text):
+    with pytest.raises(ValueError, match=f"group spec '{text}': .* integer parameter"):
+        GroupSpec.parse(text)
+
+
 def test_cyclic_generator_is_papers_matrix():
     gens = builtin_generators(GroupSpec("cyclic", 3))
     (g,) = gens
@@ -131,6 +137,12 @@ def test_explicit_gens_subgroup():
     minus_one = next(i for i in range(8) if element_order(bd, i) == 2)
     sub = resolve_subgroup(bd, f"gens:{minus_one}")
     assert sub.order == 2
+
+
+def test_a_non_integer_generator_index_is_rejected_naming_the_spec():
+    bt = build_group(GroupSpec.parse("bt"))
+    with pytest.raises(ValueError, match="subgroup spec 'gens:1,x': generator indices"):
+        resolve_subgroup(bt, "gens:1,x")
 
 
 def test_nonnormal_subgroup_rejected():
