@@ -3,10 +3,10 @@
     zerofiber report GAMMA DELTA N
 
 prints the N / N* / g / h / k report of W_N(GAMMA, DELTA) as one JSON
-object, with the wall seconds of each stage: enumerating the reflections,
-confirming them by their kernel rank, deduplicating the hyperplanes, and
-the closed forms for g and for irreducibility (the stage keyed
-``irreducibility``).  GAMMA is a group spec such as ``bt`` or
+object, with the wall seconds of each stage: building the reflections from
+their shapes with the kernel rank of each, building the hyperplanes from
+their shapes, and the closed forms for g and for irreducibility (the stage
+keyed ``irreducibility``).  GAMMA is a group spec such as ``bt`` or
 ``cyclic:4``; DELTA is ``whole``, ``comm``, ``cyc2`` or ``gens:`` with
 comma-separated element indices, as ``resolve_subgroup`` reads it.
 
@@ -31,8 +31,7 @@ from .groups import GroupSpec, build_group, resolve_subgroup
 from .invariants import (_molien_certificate, fundamental_invariants, invariant_ideal_basis,
                          zero_fiber_degree)
 from .ledger import verify_identity_ledger
-from .wreath import (WreathContext, confirm_reflections, hyperplanes, numerology_report,
-                     reflections)
+from .wreath import WreathContext, hyperplanes, numerology_report, reflections
 
 
 def _stage_timer() -> tuple[dict[str, float], Callable]:
@@ -51,8 +50,7 @@ def _stage_timer() -> tuple[dict[str, float], Callable]:
 def report(ctx: WreathContext) -> dict:
     """The numerology report of ctx as a JSON-ready dict, with stage times."""
     seconds, stage = _stage_timer()
-    refl = stage("reflections", reflections, ctx, False)
-    stage("confirmation", confirm_reflections, ctx, refl)
+    refl = stage("reflections", reflections, ctx)
     planes = stage("hyperplanes", hyperplanes, ctx, refl)
     # O(N): the closed-form checks and irreducibility from (n, |Gamma|, |Delta|)
     rep = stage("irreducibility", numerology_report, ctx, refl, planes)

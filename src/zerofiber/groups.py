@@ -317,8 +317,10 @@ def _verify_subgroup(group: FiniteGroup, name: str, indices: tuple[int, ...],
 
 
 def resolve_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
-    """Resolve 'whole' | 'comm' | 'cyc2' | 'gens:i,j,...' to a verified subgroup."""
+    """Resolve 'whole' | 'comm' | 'cyc2' | 'gens:i,j,...' to a verified subgroup.
+    A spec that cannot be resolved raises a ValueError naming it and the group."""
     spec = spec.strip().lower()
+    where = f"subgroup spec {spec!r} of {group.spec}"
     if spec == "whole":
         return Subgroup(group, "whole", tuple(range(group.order)))
     if spec == "comm":
@@ -326,17 +328,18 @@ def resolve_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
         return _verify_subgroup(group, "comm", comm, comm)
     if spec == "cyc2":
         if group.spec is None or group.spec.family != "bd":
-            raise ValueError("cyc2 is the index-2 cyclic subgroup of a binary dihedral group")
+            raise ValueError(
+                f"{where}: cyc2 is the index-2 cyclic subgroup of a binary dihedral group")
         w1 = group.gen_indices[0]
         return _verify_subgroup(group, "cyc2", close_indices(group, {w1}))
     if spec.startswith("gens:"):
         try:
             seeds = {int(t) for t in spec[5:].split(",") if t}
         except ValueError:
-            raise ValueError(
-                f"subgroup spec {spec!r}: generator indices must be integers") from None
-        bad = [s for s in seeds if not 0 <= s < group.order]
+            raise ValueError(f"{where}: generator indices must be integers") from None
+        bad = sorted(s for s in seeds if not 0 <= s < group.order)
         if bad:
-            raise ValueError(f"generator indices out of range: {bad}")
+            raise ValueError(
+                f"{where}: generator indices {bad} outside the range [0, {group.order})")
         return _verify_subgroup(group, spec, close_indices(group, seeds))
-    raise ValueError(f"cannot parse subgroup spec {spec!r}")
+    raise ValueError(f"cannot parse {where}")

@@ -1,5 +1,5 @@
 """Fundamental invariants of the catalogue groups, the Reynolds operator,
-exact invariant dimensions, Molien series, and zero-fiber degrees.
+Molien series, and zero-fiber degrees.
 
 The invariant ring of a finite subgroup of SL_2 acting on C[x,y] is
 generated by the classical fundamental invariants f1, f2, f3.  This is not
@@ -123,20 +123,6 @@ def reynolds_many(group: FiniteGroup, polys: list[Poly2]) -> list[Poly2]:
 def reynolds(group: FiniteGroup, p: Poly2) -> Poly2:
     """(1/|G|) sum_g g.p: the coset sweep of reynolds_many on p alone."""
     return reynolds_many(group, [p])[0]
-
-
-def invariant_dim(group: FiniteGroup, d: int) -> int:
-    """Dimension of degree-d invariants: exact rank of the Reynolds images
-    of the degree-d monomial basis."""
-    if d == 0:
-        return 1
-    images = reynolds_many(group, [Poly2.monomial(i, d - i) for i in range(d + 1)])
-    rows = [tuple(r.coeff(a, d - a) for a in range(d + 1)) for r in images if not r.is_zero()]
-    if not rows:
-        return 0
-    from .linalg import rank
-
-    return rank(tuple(rows))
 
 
 def molien_coeffs(group: FiniteGroup, D: int) -> list[int]:

@@ -4,19 +4,25 @@ appendix integrality identities.
 
 An element is (w, gammas): the matrix diag(gamma_1..gamma_n) P_w, sending
 e_j to e_{w(j)} gamma_{w(j)}.  Membership requires gamma_1...gamma_n in
-Delta.  The reflections are enumerated from their two known shapes (a
+Delta.  The reflections are built from their two proven shapes (a
 transposition whose two entries multiply to 1, or the identity permutation
-with a single entry in Delta - {1}) in O(N), with no scan of W, and every
-one is confirmed by the complex-codimension-2 kernel computation in the
+with a single entry in Delta - {1}) in O(N), with no scan of W.  The proof
+that each is a reflection is in the docstring of ``reflections``, and each
+is also confirmed by the complex-codimension-2 kernel rank in the
 2n-dimensional complex restriction.  r - 1 vanishes on every row and column
 of a coordinate that r neither permutes nor scales, so that rank is taken on
-the moved coordinates only: a 2 x 2 block for a reflection of type b and a
-4 x 4 block for type a.  Whether W acts irreducibly on H^n is read off
+the moved coordinates only: a 2 x 2 block for type b and 4 x 4 for type a.
+The hyperplanes are built from the same shapes: the type-b reflections at
+coordinate p share {x_p = 0}, and each type-a reflection has its own.  Both
+counts are checked against their closed forms N and N*.  No quaternion is
+formed on this path: ``alpha_of`` builds a hyperplane's normal only where the
+appendix identities read it.  Whether W acts irreducibly on H^n is read off
 (n, |Gamma|, |Delta|) by a proven closed form, with no elimination.  Tests
 certify on small groups that the enumeration equals an element-by-element
-scan of W, that the structural criterion equals the kernel condition, that
-the block rank equals the rank of the full 2n x 2n matrix, and that the
-closed form equals a search for a W-stable subspace of the arrangement.
+scan of W, that the block rank equals the rank of the full 2n x 2n matrix,
+that the hyperplanes equal a deduplication of every reflection's normal by
+its exact key, and that the closed form equals a search for a W-stable
+subspace of the arrangement.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Iterator, NamedTuple
 
 from .cyclotomic import Cyc
 from .groups import FiniteGroup, Subgroup
-from .linalg import quat_row_key, quat_rref_key, rank
+from .linalg import quat_rref_key, rank
 from .quaternion import Quaternion, hermitian_form, quat_from_matrix
 
 APPENDIX_N_CAP = 3
@@ -120,15 +126,24 @@ class Reflection(NamedTuple):
     gamma: int           # Gamma index: row-p entry for kind "a", the entry for kind "b"
 
 
-def reflections(ctx: WreathContext, confirm: bool = True) -> list[Reflection]:
+def reflections(ctx: WreathContext) -> list[Reflection]:
     """All elements with quaternionic fix-space codimension 1, built from
     their two shapes rather than found by a scan of W.
 
     Type b: the identity permutation with one coordinate delta in Delta - {1}.
     Type a: the transposition (p q), p < q, with gamma_p = gamma and
-    gamma_q = gamma^{-1} for each gamma in Gamma.  Each reflection is
-    confirmed by the complex-codimension-2 kernel computation when confirm is
-    True, and the count is checked against N = C(n, 2)|Gamma| + n(|Delta| - 1).
+    gamma_q = gamma^{-1} for each gamma in Gamma.  r - 1 vanishes outside the
+    coordinates r moves, and on them it has quaternionic rank 1:
+
+    - type b: the block delta - 1 with delta in SU(2) - {1} has no
+      eigenvalue 1 (det delta = 1 makes an eigenvalue 1 a double one, and a
+      unitary matrix with the single eigenvalue 1 is 1), so it is invertible;
+    - type a: the block [[-1, gamma], [gamma^{-1}, -1]] has second block row
+      -gamma^{-1} times the first, which is nonzero.
+
+    Each one is also confirmed at run time by the complex-codimension-2
+    kernel rank of that block, and the count is checked against
+    N = C(n, 2)|Gamma| + n(|Delta| - 1).
     """
     group, sub, n = ctx.group, ctx.sub, ctx.n
     ident = tuple(range(n))
@@ -144,30 +159,18 @@ def reflections(ctx: WreathContext, confirm: bool = True) -> list[Reflection]:
             gammas = [0] * n
             gammas[p], gammas[q] = g, group.inv[g]
             out.append(Reflection(MonomialElement(w, tuple(gammas)), "a", p, q, g))
-    if confirm:
-        confirm_reflections(ctx, out)
-    expected = _n_formula(group.order, sub.order, n)
+    for r in out:
+        if ctx.complex_codim_of_fix(r.element) != 2:
+            raise AssertionError(f"candidate {r} fails the kernel confirmation")
+    expected = n * (n - 1) // 2 * group.order + n * (sub.order - 1)
     if len(out) != expected:
         raise AssertionError(
             f"enumerated {len(out)} reflections, formula gives {expected}")
     return out
 
 
-def confirm_reflections(ctx: WreathContext, refl: list[Reflection]) -> None:
-    """Confirm each reflection by the complex-codimension-2 kernel computation."""
-    for r in refl:
-        if ctx.complex_codim_of_fix(r.element) != 2:
-            raise AssertionError(f"candidate {r} fails the kernel confirmation")
-
-
-def _n_formula(gamma_order: int, delta_order: int, n: int) -> int:
-    return (n * (n - 1) // 2) * gamma_order + n * (delta_order - 1)
-
-
 @dataclass(frozen=True)
 class Hyperplane:
-    alpha: tuple[Quaternion, ...]
-    key: tuple
     reflection_ids: tuple[int, ...]  # indices into the reflection list
 
     @property
@@ -175,34 +178,40 @@ class Hyperplane:
         return 1 + len(self.reflection_ids)
 
 
-def _alpha_of(ctx: WreathContext, r: Reflection) -> tuple[Quaternion, ...]:
-    group, n = ctx.group, ctx.n
-    m = group.conductor
-    zero = Quaternion.zero(m)
-    alpha = [zero] * n
-    if r.kind == "b":
-        alpha[r.p] = Quaternion.one(m)
-    else:
-        alpha[r.p] = Quaternion.one(m)
+def alpha_of(ctx: WreathContext, r: Reflection) -> tuple[Quaternion, ...]:
+    """The normal of the hyperplane that r fixes, with its first nonzero
+    coordinate 1: e_p for type b, and e_p - e_q gamma^{-1} for type a, whose
+    hyperplane is x_p = gamma x_q."""
+    m = ctx.group.conductor
+    alpha = [Quaternion.zero(m)] * ctx.n
+    alpha[r.p] = Quaternion.one(m)
+    if r.kind == "a":
         alpha[r.q] = -ctx.unit_quaternions[r.gamma].conj()  # -gamma^{-1} for unit gamma
     return tuple(alpha)
 
 
 def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[Hyperplane]:
-    """Deduplicated fix hyperplanes; the normal alpha has its first nonzero
-    coordinate normalized to 1."""
-    buckets: dict[tuple, tuple[tuple[Quaternion, ...], list[int]]] = {}
+    """The fix hyperplanes of the reflections, built from their shapes.
+
+    The type-b reflections at coordinate p all fix {x_p = 0} and share one
+    hyperplane; there is one for every p when Delta != 1.  A type-a
+    reflection fixes {x_p = gamma x_q}, which is no coordinate hyperplane and
+    determines p, q and gamma, so each has its own.  The count is checked
+    against N* = C(n, 2)|Gamma| + n[Delta != 1].
+    """
+    coordinate: dict[int, list[int]] = {}
+    single: list[Hyperplane] = []
     for i, r in enumerate(refl):
-        alpha = _alpha_of(ctx, r)
-        key = quat_row_key(alpha)
-        if key in buckets:
-            buckets[key][1].append(i)
+        if r.kind == "b":
+            coordinate.setdefault(r.p, []).append(i)
         else:
-            buckets[key] = (alpha, [i])
-    out = [Hyperplane(alpha, key, tuple(ids)) for key, (alpha, ids) in sorted(buckets.items())]
-    for h in out:
-        if h.stabilizer_order < 2:
-            raise AssertionError("hyperplane with trivial pointwise stabilizer")
+            single.append(Hyperplane((i,)))
+    out = [Hyperplane(tuple(ids)) for ids in coordinate.values()] + single
+    n = ctx.n
+    expected = n * (n - 1) // 2 * ctx.group.order + (n if ctx.sub.order > 1 else 0)
+    if len(out) != expected:
+        raise AssertionError(
+            f"built {len(out)} hyperplanes, formula gives {expected}")
     return out
 
 
@@ -342,7 +351,8 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
         return AppendixReport(report, trace_verdict, "skipped(cap)", "skipped(cap)",
                               "skipped(cap)", not report.irreducible)
 
-    norms = [hermitian_form(h.alpha, h.alpha).z1.as_rational() for h in planes]
+    alphas = [alpha_of(ctx, refl[h.reflection_ids[0]]) for h in planes]
+    norms = [hermitian_form(a, a).z1.as_rational() for a in alphas]
 
     # (ii) f(v) = sum_H alpha_H (alpha_H, v) / (alpha_H, alpha_H) = (k/2) v
     zero_q = Quaternion.zero(m)
@@ -350,12 +360,12 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
     failure = ""
     for i in range(n):
         acc = [zero_q] * n
-        for h, nrm in zip(planes, norms):
+        for alpha, nrm in zip(alphas, norms):
             # (alpha_H, e_i) = conj(alpha_H[i])
-            coef = h.alpha[i].conj()
+            coef = alpha[i].conj()
             scale = Fraction(1, 1) / nrm
             for p in range(n):
-                acc[p] = acc[p] + (h.alpha[p] * coef) * scale
+                acc[p] = acc[p] + (alpha[p] * coef) * scale
         if any(acc[p] != (half_k if p == i else zero_q) for p in range(n)):
             failure = "f-operator identity fails"
             break
@@ -366,7 +376,7 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
     sums = [Cyc.zero(m)] * Nstar
     for a, b in itertools.combinations_with_replacement(range(Nstar), 2):
         # |(alpha_K, alpha_H)|^2 is real but not always rational
-        val = hermitian_form(planes[a].alpha, planes[b].alpha).norm() / (norms[a] * norms[b])
+        val = hermitian_form(alphas[a], alphas[b]).norm() / (norms[a] * norms[b])
         sums[a] = sums[a] + val
         if a != b:
             sums[b] = sums[b] + val
@@ -376,8 +386,8 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
 
     # (iv) |A^H| = N* + 1 - k for every H; the key of H cap K is computed
     # once per unordered pair and counted for both H and K
-    rows = [tuple(q.conj() for q in h.alpha) for h in planes]
-    keys: list[set[tuple]] = [set() for _ in planes]
+    rows = [tuple(q.conj() for q in alpha) for alpha in alphas]
+    keys: list[set[tuple]] = [set() for _ in alphas]
     for a, b in itertools.combinations(range(Nstar), 2):
         key = quat_rref_key((rows[a], rows[b]))
         keys[a].add(key)

@@ -6,10 +6,13 @@ division that the division-free ``linalg.rank`` replaced; ``mat_mul`` and
 ``quat_matrix_embed`` build the dense quaternionic and complex matrices of a
 monomial element; ``structural_fix_codim`` reads the quaternionic
 codimension of an element's fixed space off its cycle structure, the
-criterion that the kernel rank certifies.  ``stability_search_is_irreducible``
-is the search for a W-stable hyperplane or total intersection of the
-arrangement that the closed form of ``wreath.module_is_irreducible``
-replaced; ``row_times`` moves its equation rows by monomial shape.
+criterion that the kernel rank certifies.  ``key_bucketed_hyperplanes`` is
+the deduplication of the reflections' normals by exact row key that the
+construction of ``wreath.hyperplanes`` by shape replaced.
+``stability_search_is_irreducible`` is the search for a W-stable hyperplane
+or total intersection of the arrangement that the closed form of
+``wreath.module_is_irreducible`` replaced; ``row_times`` moves its equation
+rows by monomial shape.
 
 ``bd_table``, ``bt_table``, ``bo_table`` and ``bi_table`` are the
 closed-form and stored character tables that the McKay sieve replaced;
@@ -18,20 +21,25 @@ table.  ``pairwise_maximal`` is the O(c^2) maximality filter that
 ``mckay._maximal`` replaced.
 
 ``reynolds_coverage_basis`` is the Reynolds coverage check that the Molien
-certificate of ``invariants.invariant_ideal_basis`` replaced.
+certificate of ``invariants.invariant_ideal_basis`` replaced, and
+``invariant_dim`` the rank of the Reynolds images of a degree's monomials,
+the reference for the Molien series.  ``invariant_dim`` calls
+``invariants.reynolds_many`` through the module, so that a test that
+replaces it there counts the call.
 """
 
 from __future__ import annotations
 
+from zerofiber import invariants, linalg
 from zerofiber.characters import ClassFunction, linear_characters
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groebner import GroebnerBasis, buchberger
 from zerofiber.groups import FiniteGroup, GroupSpec, build_group
 from zerofiber.invariants import fundamental_invariants, reynolds_many
-from zerofiber.linalg import CycMatrix, quat_rref_key
+from zerofiber.linalg import CycMatrix, quat_row_key, quat_rref_key
 from zerofiber.poly2 import Poly2
 from zerofiber.quaternion import Quaternion
-from zerofiber.wreath import Hyperplane, MonomialElement, WreathContext
+from zerofiber.wreath import MonomialElement, Reflection, WreathContext, alpha_of
 
 
 def mat_mul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -120,6 +128,18 @@ def structural_fix_codim(ctx: WreathContext, el: MonomialElement) -> int:
     return codim
 
 
+def key_bucketed_hyperplanes(ctx: WreathContext, refl: list[Reflection]
+                             ) -> dict[tuple, tuple[tuple[Quaternion, ...], list[int]]]:
+    """The fix hyperplanes found by forming the normal of every reflection
+    and deduplicating the normals by their exact row key: each key maps to
+    its normal and to the ids of the reflections that fix the hyperplane."""
+    buckets: dict[tuple, tuple[tuple[Quaternion, ...], list[int]]] = {}
+    for i, r in enumerate(refl):
+        alpha = alpha_of(ctx, r)
+        buckets.setdefault(quat_row_key(alpha), (alpha, []))[1].append(i)
+    return buckets
+
+
 def quaternion_matrix(ctx: WreathContext, el: MonomialElement) -> tuple[tuple[Quaternion, ...], ...]:
     """The n x n quaternion matrix of a monomial element."""
     n = ctx.n
@@ -152,8 +172,6 @@ def quat_matrix_embed(qmat: tuple[tuple[Quaternion, ...], ...]) -> CycMatrix:
     return tuple(rows)
 
 
-# -- character tables ------------------------------------------------------------
-
 def row_times(ctx: WreathContext, row: tuple[Quaternion, ...],
               el: MonomialElement) -> tuple[Quaternion, ...]:
     """row times the quaternion matrix of el, from the monomial shape:
@@ -168,11 +186,12 @@ def row_times(ctx: WreathContext, row: tuple[Quaternion, ...],
     return tuple(out)
 
 
-def stability_search_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]) -> bool:
-    """No hyperplane and no total intersection of the arrangement is stable
-    under generators of W (n = 1 is always irreducible).  This looks for a
-    stable subspace among those two kinds only, so it is not a complete test
-    in general."""
+def stability_search_is_irreducible(ctx: WreathContext,
+                                    normals: list[tuple[Quaternion, ...]]) -> bool:
+    """No hyperplane and no total intersection of the arrangement with these
+    normals is stable under generators of W (n = 1 is always irreducible).
+    This looks for a stable subspace among those two kinds only, so it is not
+    a complete test in general."""
     n = ctx.n
     if n == 1:
         return True
@@ -214,16 +233,18 @@ def stability_search_is_irreducible(ctx: WreathContext, planes: list[Hyperplane]
         return True
 
     # the equation of H is sum_p conj(alpha_p) x_p = 0
-    total = tuple(tuple(q if q.is_zero() else q.conj() for q in h.alpha) for h in planes)
+    total = tuple(tuple(q if q.is_zero() else q.conj() for q in alpha) for alpha in normals)
     for row in total:
         if stable((row,)):
             return False
-    if planes:
+    if normals:
         depth = len(quat_rref_key(total))
         if 0 < depth < n and stable(total):
             return False
     return True
 
+
+# -- character tables ------------------------------------------------------------
 
 def power(group: FiniteGroup, idx: int, e: int) -> int:
     """The index of g^e for e >= 0, by repeated multiplication."""
@@ -407,3 +428,15 @@ def reynolds_coverage_basis(spec: GroupSpec) -> GroebnerBasis:
             raise AssertionError(
                 f"invariant of degree {mono.degree()} outside the fundamental ideal for {spec}")
     return gb
+
+
+def invariant_dim(group: FiniteGroup, d: int) -> int:
+    """Dimension of degree-d invariants: exact rank of the Reynolds images
+    of the degree-d monomial basis."""
+    if d == 0:
+        return 1
+    images = invariants.reynolds_many(group, [Poly2.monomial(i, d - i) for i in range(d + 1)])
+    rows = [tuple(r.coeff(a, d - a) for a in range(d + 1)) for r in images if not r.is_zero()]
+    if not rows:
+        return 0
+    return linalg.rank(tuple(rows))

@@ -24,7 +24,7 @@ def test_report_prints_the_numerology_as_json(capsys):
     assert out["integral"] == {"g": True, "h": True, "k": True}
     assert out["irreducible"] is True
     seconds = out["stage_seconds"]
-    assert list(seconds) == ["reflections", "confirmation", "hyperplanes", "irreducibility"]
+    assert list(seconds) == ["reflections", "hyperplanes", "irreducibility"]
     assert all(s >= 0 for s in seconds.values())
 
 
@@ -44,6 +44,14 @@ def test_bad_input_is_rejected_with_a_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "zerofiber: error:" in err and "invalid literal" not in err
+
+
+def test_an_out_of_range_generator_index_is_rejected_naming_the_group(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "bt", "gens:-1", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "subgroup spec 'gens:-1' of bt" in err and "[0, 24)" in err
 
 
 def test_oversized_conductor_is_rejected_before_the_group_is_built(capsys, monkeypatch):

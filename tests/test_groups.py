@@ -141,8 +141,23 @@ def test_explicit_gens_subgroup():
 
 def test_a_non_integer_generator_index_is_rejected_naming_the_spec():
     bt = build_group(GroupSpec.parse("bt"))
-    with pytest.raises(ValueError, match="subgroup spec 'gens:1,x': generator indices"):
+    with pytest.raises(ValueError, match="subgroup spec 'gens:1,x' of bt: generator indices"):
         resolve_subgroup(bt, "gens:1,x")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("gens:-1", r"subgroup spec 'gens:-1' of bt: generator indices \[-1\] outside the range "
+                r"\[0, 24\)"),
+    ("gens:3,24,30", r"subgroup spec 'gens:3,24,30' of bt: generator indices \[24, 30\] "
+                     r"outside the range \[0, 24\)"),
+    ("cyc2", r"subgroup spec 'cyc2' of bt: cyc2 is the index-2 cyclic subgroup of a binary "
+             r"dihedral group"),
+    ("foo", r"cannot parse subgroup spec 'foo' of bt"),
+])
+def test_an_unresolvable_subgroup_spec_is_rejected_naming_the_spec_and_group(spec, message):
+    bt = build_group(GroupSpec.parse("bt"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        resolve_subgroup(bt, spec)
 
 
 def test_nonnormal_subgroup_rejected():

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reynolds_coverage_basis
+from oracles import invariant_dim, reynolds_coverage_basis
 from zerofiber import invariants
 from zerofiber.groups import GroupSpec, build_group, builtin_generators, close
 from zerofiber.invariants import (
     MolienCertificate,
     _molien_certificate,
     fundamental_invariants,
-    invariant_dim,
     invariant_ideal_basis,
     molien_coeffs,
     reynolds,

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (identity, mat_mul, quat_matrix_embed, quaternion_matrix, row_times, rref,
-                     stability_search_is_irreducible, structural_fix_codim)
+from oracles import (identity, key_bucketed_hyperplanes, mat_mul, quat_matrix_embed,
+                     quaternion_matrix, row_times, rref, stability_search_is_irreducible,
+                     structural_fix_codim)
 from test_linalg import column_rref_key, rand_quat
 from zerofiber import wreath
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
+from zerofiber.linalg import quat_row_key
 from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import (
     MonomialElement,
     Reflection,
     WreathContext,
+    alpha_of,
     appendix_checks,
     hyperplanes,
     module_is_irreducible,
@@ -65,6 +68,12 @@ def scan_reflections(ctx: WreathContext) -> list[Reflection]:
             continue
         out.append(Reflection(MonomialElement(w, gammas), "a", p, q, gammas[p]))
     return out
+
+
+def bucketed_normals(ctx: WreathContext) -> list:
+    """The hyperplane normals of the key-bucketing oracle, which does not
+    use ``hyperplanes``."""
+    return [alpha for alpha, _ in key_bucketed_hyperplanes(ctx, reflections(ctx)).values()]
 
 
 def dense_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
@@ -246,14 +255,27 @@ def test_hyperplane_counts():
 
 
 def test_hyperplane_dedup_order_invariant():
-    c = ctx_of("cyclic:3", "whole", 2)
+    """Shuffled reflections are grouped into the same hyperplanes."""
+    for gamma, delta, n in [("cyclic:3", "whole", 2), ("bd:2", "cyc2", 3)]:
+        c = ctx_of(gamma, delta, n)
+        refl = reflections(c)
+
+        def partition(rs):
+            return {frozenset(rs[i] for i in h.reflection_ids) for h in hyperplanes(c, rs)}
+
+        base = partition(refl)
+        rng = random.Random(42)
+        for _ in range(100):
+            shuffled = refl[:]
+            rng.shuffle(shuffled)
+            assert partition(shuffled) == base
+
+
+def test_hyperplane_count_is_checked_against_its_formula():
+    c = ctx_of("bd:2", "whole", 2)
     refl = reflections(c)
-    base = {h.key for h in hyperplanes(c, refl)}
-    rng = random.Random(42)
-    for _ in range(100):
-        shuffled = refl[:]
-        rng.shuffle(shuffled)
-        assert {h.key for h in hyperplanes(c, shuffled)} == base
+    with pytest.raises(AssertionError, match="built 9 hyperplanes, formula gives 10"):
+        hyperplanes(c, refl[:-1])
 
 
 def test_stabilizer_orders():
@@ -358,7 +380,7 @@ def test_numerology_non_rational_pivot_norms(gamma):
     assert rep.N == (n * (n - 1) // 2) * G + n * (D - 1)
     assert rep.g == (n - 1) * G + 2 * (D - 1)
     assert rep.irreducible
-    assert stability_search_is_irreducible(c, hyperplanes(c, reflections(c)))
+    assert stability_search_is_irreducible(c, bucketed_normals(c))
 
 
 def test_appendix_uncapped_non_rational_pairings():
@@ -374,9 +396,10 @@ def reducible_in_catalogue(gamma: str, delta: str, n: int) -> bool:
     "gamma,delta", [(g, d) for g in CATALOGUE for d in deltas_of(g)])
 def test_numerology_catalogue_sweep(gamma, delta):
     """numerology on every catalogue (Gamma, Delta) at n = 1-3, with the
-    dense kernel rank of every reflection, the column-by-column RREF key of
-    the arrangement and of random subsets of it, and uncapped appendix
-    checks where |W| <= APPENDIX_SWEEP_ORDER_CAP."""
+    dense kernel rank of every reflection, the hyperplanes against the
+    key-bucketing oracle, the column-by-column RREF key of the arrangement
+    and of random subsets of it, and uncapped appendix checks where
+    |W| <= APPENDIX_SWEEP_ORDER_CAP."""
     g = build_group(GroupSpec.parse(gamma))
     sub = resolve_subgroup(g, delta)
     G, D = g.order, sub.order
@@ -392,9 +415,15 @@ def test_numerology_catalogue_sweep(gamma, delta):
         assert rep.h == Fraction(rep.N + rep.Nstar, n) and rep.g + rep.k == 2 * rep.h
         assert rep.irreducible == (not reducible_in_catalogue(gamma, delta, n))
 
-        refl = reflections(c, confirm=False)
+        refl = reflections(c)
         assert all(dense_codim_of_fix(c, r.element) == 2 for r in refl)
-        eqs = [tuple(q.conj() for q in h.alpha) for h in hyperplanes(c, refl)]
+        planes = hyperplanes(c, refl)
+        buckets = key_bucketed_hyperplanes(c, refl)
+        assert ({frozenset(h.reflection_ids) for h in planes}
+                == {frozenset(ids) for _, ids in buckets.values()})
+        normals = [alpha_of(c, refl[h.reflection_ids[0]]) for h in planes]
+        assert {quat_row_key(alpha) for alpha in normals} == set(buckets)
+        eqs = [tuple(q.conj() for q in alpha) for alpha in normals]
         subsets = [tuple(eqs)] + [tuple(rng.sample(eqs, rng.randint(1, min(len(eqs), n + 2))))
                                   for _ in range(10 if eqs else 0)]
         for rows in subsets:
@@ -448,27 +477,32 @@ def test_closed_form_irreducibility_equals_the_stability_search(gamma, ranks):
     for sub in resolvable_subgroups(gamma):
         for n in ranks:
             c = WreathContext(sub.group, sub, n)
-            planes = hyperplanes(c, reflections(c, confirm=False))
-            assert module_is_irreducible(c) == stability_search_is_irreducible(c, planes), (
-                gamma, sub.name, n)
+            assert module_is_irreducible(c) == stability_search_is_irreducible(
+                c, bucketed_normals(c)), (gamma, sub.name, n)
 
 
 def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
-    calls = []
-    real = wreath.quat_rref_key
+    """A catalogue numerology sweep makes no quaternionic elimination and
+    forms no quaternion; both counters do see the appendix's."""
+    eliminations, quaternions = [], []
+    real_key, real_init = wreath.quat_rref_key, Quaternion.__init__
 
-    def counted(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counted_key(rows):
+        eliminations.append(len(rows))
+        return real_key(rows)
 
-    monkeypatch.setattr(wreath, "quat_rref_key", counted)
+    def counted_init(self, z1, z2):
+        quaternions.append(1)
+        real_init(self, z1, z2)
+
+    monkeypatch.setattr(wreath, "quat_rref_key", counted_key)
+    monkeypatch.setattr(Quaternion, "__init__", counted_init)
     for gamma in CATALOGUE:
         g = build_group(GroupSpec.parse(gamma))
         for delta in deltas_of(gamma):
             sub = resolve_subgroup(g, delta)
             for n in (1, 2, 3):
                 numerology(WreathContext(g, sub, n))
-    assert calls == []
-    # the counter does see an elimination: identity (iv) of the appendix
+    assert (eliminations, quaternions) == ([], [])
     appendix_checks(ctx_of("cyclic:2", "whole", 2), enforce_caps=False)
-    assert calls
+    assert eliminations and quaternions
