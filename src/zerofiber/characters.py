@@ -1,7 +1,7 @@
 """Exact character tables for the catalogue groups.
 
-Every table is built by the McKay sieve: the linear characters (the
-cyclic-extension algorithm on the abelianization) and chi_V, then the new
+Every table is built by the McKay sieve: the linear characters (read off
+their exponents on the generators) and chi_V, then the new
 constituents of chi * chi_V with their linear twists and Galois conjugates
 until every class has its character.  Each table is certified on
 construction by row orthonormality, column orthogonality and the degree
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, lcm
 
 from .cyclotomic import Cyc, hermitian_sum
 from .groups import FiniteGroup, GroupSpec, Subgroup, build_group, commutator_subgroup
@@ -79,87 +80,44 @@ def trivial_character(group: FiniteGroup) -> ClassFunction:
     return ClassFunction(tuple(one for _ in group.classes))
 
 
-# -- linear characters via the abelianization ---------------------------------
+# -- linear characters from generator exponents --------------------------------
 
-def _abelian_hom_exponents(mult: list[list[int]], exponent: int) -> list[dict[int, int]]:
-    """All homomorphisms of an abelian group (given by its table) into the
-    roots of unity, as exponent dictionaries element -> e with value
-    zeta_exponent^e.  Cyclic extension one generator at a time."""
-    n = len(mult)
-    homs: list[dict[int, int]] = [{0: 0}]
-    covered = [0]
-    while len(covered) < n:
-        a = next(x for x in range(n) if x not in homs[0])
-        # t = minimal power of a landing in the current subgroup
-        t, cur = 1, a
-        while cur not in homs[0]:
-            cur = mult[cur][a]
-            t += 1
-        target = cur  # a^t
-        new_homs = []
-        for chi in homs:
-            e = chi[target]
-            if e % t != 0:
-                raise AssertionError("abelian character extension: t does not divide e")
-            x0 = e // t
-            step = exponent // t
-            for s in range(t):
-                x = (x0 + s * step) % exponent
-                ext = dict(chi)
-                # enumerate cosets subgroup * a^j
-                powers = [0]
-                cur2 = a
-                for _ in range(t - 1):
-                    powers.append(cur2)
-                    cur2 = mult[cur2][a]
-                for base in list(chi):
-                    for j, pw in enumerate(powers):
-                        el = mult[base][pw]
-                        ext[el] = (chi[base] + j * x) % exponent
-                new_homs.append(ext)
-        homs = new_homs
-        covered = list(homs[0])
-    return homs
+def _extend(group: FiniteGroup, v: tuple[int, ...], e: int) -> list[int] | None:
+    """The homomorphism h: G -> Z/e with h(g_k) = v_k, or None if there is
+    none.  close numbered the elements in BFS order, so each x > 0 is first
+    reached as elements[p] g_k with p < x, and h(x) = h(p) + v_k; every later
+    edge x -> x g_k must agree.  If all do, h(x y) = h(x) + h(y) by induction
+    on a word for y in the generators."""
+    h = [0] + [None] * (group.order - 1)
+    for p in range(group.order):
+        for k, g in enumerate(group.gen_indices):
+            x, value = group.mult[p][g], (h[p] + v[k]) % e
+            if h[x] is None:
+                h[x] = value
+            elif h[x] != value:
+                return None
+    return h
 
 
 def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
-    """All degree-1 characters, via the quotient by the commutator subgroup."""
-    comm = commutator_subgroup(group)
-    cset = frozenset(comm)
-    # coset space
-    coset_of = [-1] * group.order
-    reps: list[int] = []
-    for g in range(group.order):
-        if coset_of[g] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        for h in comm:
-            coset_of[group.mult[g][h]] = cid
-    k = len(reps)
-    qmult = [[coset_of[group.mult[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    # exponent of the quotient
-    exponent = 1
-    for i in range(k):
-        o, cur = 1, i
-        while cur != 0:
-            cur = qmult[cur][i]
-            o += 1
-        exponent = exponent * o // gcd(exponent, o)
-    m = group.conductor * exponent // gcd(group.conductor, exponent)
-    homs = _abelian_hom_exponents(qmult, exponent)
-    out = []
-    for chi in homs:
-        vals = tuple(
-            Cyc.zeta(m, (m // exponent) * chi[coset_of[c[0]]]) if exponent > 1 else Cyc.one(m)
-            for c in group.classes
-        )
-        out.append(ClassFunction(vals))
-    out.sort(key=_key)
-    # trivial first
-    triv = trivial_character(group)
-    out.remove(next(cf for cf in out if cf.values == triv.values))
-    return [triv] + out
+    """All degree-1 characters, trivial first, as the homomorphisms
+    h: G -> Z/e with e = |G : G'| (value zeta_e^h), one per exponent vector
+    (h(g_k))_k that extends.
+
+    A linear character factors through the abelian group G/G' of order e,
+    whose exponent divides e, so there are exactly e of them and each takes
+    e-th roots of unity as values.  Any other count raises AssertionError.
+    """
+    e = group.order // len(commutator_subgroup(group))
+    homs = [h for v in product(range(e), repeat=len(group.gen_indices))
+            if (h := _extend(group, v, e)) is not None]
+    if len(homs) != e:
+        raise AssertionError(
+            f"{group.spec}: {len(homs)} linear characters found, |G : G'| = {e} expected")
+    m = lcm(group.conductor, e)
+    chars = [ClassFunction(tuple(Cyc.zeta(m, h[c[0]] * m // e) for c in group.classes))
+             for h in homs]
+    return chars[:1] + sorted(chars[1:], key=_key)  # v = 0 is the trivial character
 
 
 def kernel_contains(group: FiniteGroup, chi: ClassFunction, sub: Subgroup) -> bool:

@@ -115,9 +115,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write("\n")
         failed = out["verify"] != "pass" or "failed" in out["ledger"].values()
         return 1 if failed else 0
-    if args.n < 1:
-        ap.error(f"n must be at least 1, got {args.n}")
     try:
+        if args.n < 1:
+            raise ValueError(f"n must be at least 1, got {args.n}")
         group = build_group(GroupSpec.parse(args.gamma))
         ctx = WreathContext(group, resolve_subgroup(group, args.delta), args.n)
     except ValueError as exc:

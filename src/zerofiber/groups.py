@@ -2,13 +2,16 @@
 
 Catalogue: cyclic(l), binary dihedral bd(n) of order 4n, and the binary
 tetrahedral / octahedral / icosahedral groups, each built by breadth-first
-closure from the paper's generator matrices.  Conjugacy classes, subgroup
-resolution (whole / commutator / index-2 cyclic / explicit generators) and
-the normality + abelian-quotient checks live here.
+closure from the paper's generator matrices.  Every closure on element
+indices is one ``orbit``: the conjugacy classes, the subgroup generated by
+some elements and the commutator subgroup.  Subgroup resolution (whole /
+commutator / index-2 cyclic / explicit generators) checks normality and the
+abelian quotient on the generators of the group alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
@@ -168,6 +171,39 @@ class FiniteGroup:
         """g h g^{-1}."""
         return self.mult[self.mult[g][h]][self.inv[g]]
 
+    def commutator(self, a: int, b: int) -> int:
+        """a b a^{-1} b^{-1}, as (a b)(b a)^{-1}."""
+        return self.mult[self.mult[a][b]][self.inv[self.mult[b][a]]]
+
+    def right_map(self, s: int) -> list[int]:
+        """x -> x s, as a list over the elements."""
+        return [row[s] for row in self.mult]
+
+    def conjugation_map(self, g: int) -> list[int]:
+        """h -> g h g^{-1}, as a list over the elements."""
+        return [self.conjugate(g, h) for h in range(self.order)]
+
+
+def orbit(start: Iterable[int], moves: list[list[int]]) -> set[int]:
+    """The smallest set that holds ``start`` and is closed under every move,
+    each a list that sends x to move[x].
+
+    In a finite group the maps x -> x s and x -> g x g^{-1} have finite
+    order, so closing under them also closes under their inverses: the
+    orbit of 1 under right multiplication by some elements is the subgroup
+    they generate, and the orbit of h under conjugation by generators of G
+    is the class of h.
+    """
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for move in moves:
+            if (y := move[x]) not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
 
 def close(generators: list[Mat2], cap: int = CLOSURE_CAP,
           spec: GroupSpec | None = None) -> FiniteGroup:
@@ -229,13 +265,13 @@ def close(generators: list[Mat2], cap: int = CLOSURE_CAP,
         inv=inv,
     )
 
+    conj = [group.conjugation_map(g) for g in group.gen_indices]
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
     for h in range(n):
         if class_of[h] >= 0:
             continue
-        orbit = {mult[mult[g][h]][inv[g]] for g in range(n)}
-        cls = tuple(sorted(orbit))
+        cls = tuple(sorted(orbit((h,), conj)))
         cid = len(classes)
         for e in cls:
             class_of[e] = cid
@@ -274,44 +310,44 @@ class Subgroup:
         return self.group.order // self.order
 
 
-def close_indices(group: FiniteGroup, seeds: set[int]) -> tuple[int, ...]:
-    have = {0} | set(seeds)
-    frontier = list(have)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in seeds:
-                p = group.mult[a][s]
-                if p not in have:
-                    have.add(p)
-                    nxt.append(p)
-            p = group.inv[a]
-            if p not in have:
-                have.add(p)
-                nxt.append(p)
-        frontier = nxt
-    return tuple(sorted(have))
+def close_indices(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
+    """The subgroup generated by ``seeds``: the orbit of 1 under right
+    multiplication by them (see ``orbit``)."""
+    return tuple(sorted(orbit((0,), [group.right_map(s) for s in seeds])))
 
 
 def commutator_subgroup(group: FiniteGroup) -> tuple[int, ...]:
-    n = group.order
-    comms = set()
-    for a in range(n):
-        for b in range(n):
-            ab = group.mult[a][b]
-            ba = group.mult[b][a]
-            comms.add(group.mult[ab][group.inv[ba]])
-    return close_indices(group, comms)
+    """[G, G] as the normal closure N of the commutators c = [g_i, g_j] of
+    the generators.
+
+    N lies in [G, G], a normal subgroup that holds every c.  In G/N the
+    images of the generators commute, so G/N is abelian and [G, G] lies in
+    N.  N is the orbit S of 1 under x -> x c and conjugation by the
+    generators: S lies in N, is closed under conjugation by all of G, and
+    for x in S, x (g c g^{-1}) = g ((g^{-1} x g) c) g^{-1} is in S, so S is
+    closed under right multiplication by the conjugates of the c, which
+    generate N.
+    """
+    gens = group.gen_indices
+    comms = {group.commutator(a, b) for a in gens for b in gens}
+    moves = [group.right_map(c) for c in comms] + [group.conjugation_map(g) for g in gens]
+    return tuple(sorted(orbit((0,), moves)))
 
 
-def _verify_subgroup(group: FiniteGroup, name: str, indices: tuple[int, ...],
-                     comm: tuple[int, ...] | None = None) -> Subgroup:
-    """The subgroup, once it is checked normal with abelian quotient; ``comm``
-    is the commutator subgroup when the caller has already computed it."""
+def _verify_subgroup(group: FiniteGroup, name: str, indices: tuple[int, ...]) -> Subgroup:
+    """The subgroup, once it is checked normal with abelian quotient on the
+    generators g_k of G alone.
+
+    Normal: each h -> g_k h g_k^{-1} maps the subgroup into itself, hence
+    onto it, and every element of G is a product of the g_k.  Abelian
+    quotient: then [g_i, g_j] in the subgroup for all i, j says that the
+    images of the g_k, which generate the quotient, commute.
+    """
     iset = frozenset(indices)
-    if not all(group.conjugate(g, h) in iset for g in range(group.order) for h in indices):
+    gens = group.gen_indices
+    if not all(group.conjugate(g, h) in iset for g in gens for h in indices):
         raise ValueError(f"subgroup {name!r} of {group.spec} is not normal")
-    if not set(commutator_subgroup(group) if comm is None else comm) <= iset:
+    if not all(group.commutator(a, b) in iset for a in gens for b in gens):
         raise ValueError(f"quotient by subgroup {name!r} of {group.spec} is not abelian")
     return Subgroup(group, name, indices)
 
@@ -324,14 +360,12 @@ def resolve_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
     if spec == "whole":
         return Subgroup(group, "whole", tuple(range(group.order)))
     if spec == "comm":
-        comm = commutator_subgroup(group)
-        return _verify_subgroup(group, "comm", comm, comm)
+        return _verify_subgroup(group, "comm", commutator_subgroup(group))
     if spec == "cyc2":
         if group.spec is None or group.spec.family != "bd":
             raise ValueError(
                 f"{where}: cyc2 is the index-2 cyclic subgroup of a binary dihedral group")
-        w1 = group.gen_indices[0]
-        return _verify_subgroup(group, "cyc2", close_indices(group, {w1}))
+        return _verify_subgroup(group, "cyc2", close_indices(group, group.gen_indices[:1]))
     if spec.startswith("gens:"):
         try:
             seeds = {int(t) for t in spec[5:].split(",") if t}

@@ -20,6 +20,19 @@ closed-form and stored character tables that the McKay sieve replaced;
 table.  ``pairwise_maximal`` is the O(c^2) maximality filter that
 ``mckay._maximal`` replaced.
 
+``generated_subgroup`` closes seeds under products and inverses;
+``commutator_subgroup_by_sweep`` closes all |G|^2 commutators, the sweep
+that the normal closure of the generators' commutators in
+``groups.commutator_subgroup`` replaced; ``classes_by_full_orbits``
+conjugates each class representative by every element, where ``close`` now
+conjugates by the generators only; ``verify_subgroup_by_sweep`` checks
+normality over all of G x Delta and the abelian quotient against the whole
+commutator subgroup, where ``groups._verify_subgroup`` checks both on the
+generators; ``coset_table_linear_characters`` builds the quotient by the
+commutator subgroup as a coset table and extends its characters one cyclic
+factor at a time, the algorithm that reading the linear characters off
+their generator exponents replaced.
+
 ``reynolds_coverage_basis`` is the Reynolds coverage check that the Molien
 certificate of ``invariants.invariant_ideal_basis`` replaced, and
 ``invariant_dim`` the rank of the Reynolds images of a degree's monomials,
@@ -30,8 +43,10 @@ replaces it there counts the call.
 
 from __future__ import annotations
 
+from math import gcd
+
 from zerofiber import invariants, linalg
-from zerofiber.characters import ClassFunction, linear_characters
+from zerofiber.characters import ClassFunction, linear_characters, trivial_character
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groebner import GroebnerBasis, buchberger
 from zerofiber.groups import FiniteGroup, GroupSpec, build_group
@@ -242,6 +257,122 @@ def stability_search_is_irreducible(ctx: WreathContext,
         if 0 < depth < n and stable(total):
             return False
     return True
+
+
+# -- subgroups, classes and linear characters ----------------------------------------
+
+def generated_subgroup(group: FiniteGroup, seeds) -> tuple[int, ...]:
+    """The closure of {1} and the seeds under products with the seeds and
+    under inverses, level by level."""
+    have = {0} | set(seeds)
+    frontier = list(have)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for p in [group.mult[a][s] for s in seeds] + [group.inv[a]]:
+                if p not in have:
+                    have.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return tuple(sorted(have))
+
+
+def commutator_subgroup_by_sweep(group: FiniteGroup) -> tuple[int, ...]:
+    """The subgroup generated by all |G|^2 commutators a b a^-1 b^-1."""
+    n, mult, inv = group.order, group.mult, group.inv
+    return generated_subgroup(
+        group, {mult[mult[a][b]][inv[mult[b][a]]] for a in range(n) for b in range(n)})
+
+
+def classes_by_full_orbits(group: FiniteGroup) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The classes in order of their least element, each the set of g h g^-1
+    over all g, and the class of each element."""
+    n = group.order
+    class_of = [-1] * n
+    classes: list[tuple[int, ...]] = []
+    for h in range(n):
+        if class_of[h] < 0:
+            cls = tuple(sorted({group.conjugate(g, h) for g in range(n)}))
+            for e in cls:
+                class_of[e] = len(classes)
+            classes.append(cls)
+    return classes, class_of
+
+
+def verify_subgroup_by_sweep(group: FiniteGroup, name: str, indices: tuple[int, ...],
+                             comm: tuple[int, ...]) -> tuple[int, ...]:
+    """The indices, once g h g^-1 lies in them for every g in G and h in
+    them, and the commutator subgroup ``comm`` lies in them; else the
+    ValueError that ``groups.resolve_subgroup`` raises."""
+    iset = frozenset(indices)
+    if not all(group.conjugate(g, h) in iset for g in range(group.order) for h in indices):
+        raise ValueError(f"subgroup {name!r} of {group.spec} is not normal")
+    if not set(comm) <= iset:
+        raise ValueError(f"quotient by subgroup {name!r} of {group.spec} is not abelian")
+    return indices
+
+
+def abelian_hom_exponents(mult: list[list[int]], exponent: int) -> list[dict[int, int]]:
+    """All homomorphisms of an abelian group (given by its table) into the
+    roots of unity, as exponent dictionaries element -> e with value
+    zeta_exponent^e.  Cyclic extension one generator at a time."""
+    n = len(mult)
+    homs: list[dict[int, int]] = [{0: 0}]
+    while len(homs[0]) < n:
+        a = next(x for x in range(n) if x not in homs[0])
+        # t = minimal power of a landing in the current subgroup
+        t, cur = 1, a
+        while cur not in homs[0]:
+            cur = mult[cur][a]
+            t += 1
+        target = cur  # a^t
+        powers = [0]
+        for _ in range(t - 1):
+            powers.append(mult[powers[-1]][a])
+        new_homs = []
+        for chi in homs:
+            e = chi[target]
+            assert e % t == 0, "abelian character extension: t does not divide e"
+            for s in range(t):
+                x = (e // t + s * (exponent // t)) % exponent
+                ext = dict(chi)
+                # the cosets subgroup * a^j
+                for base in chi:
+                    for j, pw in enumerate(powers):
+                        ext[mult[base][pw]] = (chi[base] + j * x) % exponent
+                new_homs.append(ext)
+        homs = new_homs
+    return homs
+
+
+def coset_table_linear_characters(group: FiniteGroup) -> list[ClassFunction]:
+    """All degree-1 characters, trivial first and then by value key, through
+    the coset table of G / [G, G] and its exponent."""
+    comm = commutator_subgroup_by_sweep(group)
+    coset_of = [-1] * group.order
+    reps: list[int] = []
+    for g in range(group.order):
+        if coset_of[g] < 0:
+            for h in comm:
+                coset_of[group.mult[g][h]] = len(reps)
+            reps.append(g)
+    k = len(reps)
+    qmult = [[coset_of[group.mult[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    exponent = 1
+    for i in range(k):
+        o, cur = 1, i
+        while cur != 0:
+            cur = qmult[cur][i]
+            o += 1
+        exponent = exponent * o // gcd(exponent, o)
+    m = group.conductor * exponent // gcd(group.conductor, exponent)
+    out = [ClassFunction(tuple(Cyc.zeta(m, (m // exponent) * chi[coset_of[c[0]]])
+                               for c in group.classes))
+           for chi in abelian_hom_exponents(qmult, exponent)]
+    out.sort(key=lambda cf: tuple((v.m, v.num, v.den) for v in cf.values))
+    triv = trivial_character(group)
+    out.remove(next(cf for cf in out if cf.values == triv.values))
+    return [triv] + out
 
 
 # -- character tables ------------------------------------------------------------

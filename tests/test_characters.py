@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from oracles import bd_table, bi_table, bo_table, bt_table, power
+from oracles import (bd_table, bi_table, bo_table, bt_table, classes_by_full_orbits,
+                     commutator_subgroup_by_sweep, coset_table_linear_characters, power)
 from zerofiber import characters
 from zerofiber.cyclotomic import Cyc
 from zerofiber.characters import (
@@ -15,7 +16,7 @@ from zerofiber.characters import (
     linear_characters,
     value_at_element,
 )
-from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
+from zerofiber.groups import GroupSpec, build_group, commutator_subgroup, resolve_subgroup
 
 ALL_SPECS = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6",
              "bd:1", "bd:2", "bd:3", "bd:4", "bt", "bo", "bi"]
@@ -219,6 +220,36 @@ def test_galois_conjugation_permutes_the_rows(spec):
     for k in (k for k in range(1, m + 1) if gcd(k, m) == 1):
         images = [ClassFunction(tuple(v.galois(k) for v in chi.values)) for chi in chars]
         assert value_keys(images) == rows
+
+
+def row_keys(chars):
+    """Each row's exact values, (m, num, den) per class, in row order."""
+    return [characters._key(chi) for chi in chars]
+
+
+@pytest.mark.parametrize("spec", FULL_CATALOGUE)
+def test_group_layer_equals_the_sweep_oracles(spec, monkeypatch):
+    """Classes, the commutator subgroup and the linear characters are exactly
+    what the sweeps over all elements and the coset-table extension give,
+    and the table is what the sieve builds from those linear characters."""
+    group = build_group(GroupSpec.parse(spec))
+    assert (group.classes, group.class_of) == classes_by_full_orbits(group)
+    assert commutator_subgroup(group) == commutator_subgroup_by_sweep(group)
+    oracle = coset_table_linear_characters(group)
+    assert row_keys(linear_characters(group)) == row_keys(oracle)
+    table = character_table(GroupSpec.parse(spec))
+    monkeypatch.setattr(characters, "linear_characters", lambda g: list(oracle))
+    assert row_keys(table) == row_keys(characters._sorted_rows(group,
+                                                               characters._mckay_sieve(group)))
+
+
+def test_a_wrong_commutator_subgroup_fails_the_count(monkeypatch):
+    # with [G, G] taken as 1 the count asks for 24 homomorphisms bt -> Z/24,
+    # but only the 3 through bt / [bt, bt] = Z/3 exist
+    monkeypatch.setattr(characters, "commutator_subgroup", lambda g: (0,))
+    with pytest.raises(AssertionError,
+                       match=r"^bt: 3 linear characters found, \|G : G'\| = 24 expected$"):
+        linear_characters(build_group(GroupSpec.parse("bt")))
 
 
 def test_sieve_raises_on_a_non_integral_multiplicity(monkeypatch):

@@ -37,13 +37,17 @@ def test_report_of_a_reducible_module(capsys):
 @pytest.mark.parametrize("argv", [["report", "bt", "nosuch", "2"],
                                   ["report", "cyclic:0", "whole", "2"],
                                   ["report", "bt", "whole", "0"],
-                                  ["report", "bt", "gens:1,x", "2"]])
+                                  ["report", "bt", "gens:1,x", "2"],
+                                  ["report", "bi", "comm", "-1"]])
 def test_bad_input_is_rejected_with_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "zerofiber: error:" in err and "invalid literal" not in err
+    assert f"zerofiber: error: report {' '.join(argv[1:])}: " in err
+    if int(argv[3]) < 1:
+        assert f"n must be at least 1, got {argv[3]}" in err
 
 
 def test_an_out_of_range_generator_index_is_rejected_naming_the_group(capsys):

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
-from oracles import element_order
+from oracles import (commutator_subgroup_by_sweep, element_order, generated_subgroup,
+                     verify_subgroup_by_sweep)
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import (
     GroupSpec,
@@ -186,10 +189,43 @@ def test_comm_computes_the_commutator_subgroup_once(monkeypatch):
         calls.append(group.spec)
         return real(group)
 
-    monkeypatch.setattr(groups, "commutator_subgroup", counted)
     bo = build_group(GroupSpec.parse("bo"))
+    bd3 = build_group(GroupSpec.parse("bd:3"))
+    comm = real(bo)
+    monkeypatch.setattr(groups, "commutator_subgroup", counted)
+    # a gens: spec and cyc2 are checked on the generators, with no commutator subgroup
+    assert resolve_subgroup(bo, "gens:" + ",".join(map(str, comm))).indices == comm
+    assert calls == []
+    assert resolve_subgroup(bd3, "cyc2").order == 6
+    assert calls == []
     assert resolve_subgroup(bo, "comm").order == 24
-    assert len(calls) == 1
+    assert calls == [bo.spec]
+
+
+def resolution(resolve, *args):
+    try:
+        return resolve(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec,width", [("bd:3", 2), ("bt", 2), ("bo", 2), ("bi", 1)])
+def test_subgroup_checks_on_the_generators_equal_the_sweep(spec, width):
+    """Every gens:i (and gens:i,j for width 2) resolves to the subgroup that
+    the checks over all elements accept, or raises the same error."""
+    group = build_group(GroupSpec.parse(spec))
+    comm = commutator_subgroup_by_sweep(group)
+    rejections = set()
+    for r in range(1, width + 1):
+        for seeds in combinations(range(group.order), r):
+            text = "gens:" + ",".join(map(str, seeds))
+            want = resolution(verify_subgroup_by_sweep, group, text,
+                              generated_subgroup(group, seeds), comm)
+            got = resolution(lambda: resolve_subgroup(group, text).indices)
+            assert got == want, text
+            if isinstance(want, str):
+                rejections.add(want.split(" is not ")[1])
+    assert rejections == {"normal", "abelian"}
 
 
 def test_mult_table_consistency():
