@@ -210,18 +210,13 @@ def buchberger(gens: list[Poly2]) -> GroebnerBasis:
     min_basis = [basis[k] for k in keep]
     min_cofs = [list(cofs[k]) for k in keep]
 
-    # inter-reduce tails and make monic
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(min_basis)):
-            others = min_basis[:k] + min_basis[k + 1:]
-            ocofs = min_cofs[:k] + min_cofs[k + 1:]
-            rem, rcof = normal_form(min_basis[k], others, ocofs, min_cofs[k])
-            if rem != min_basis[k]:
-                min_basis[k] = rem
-                min_cofs[k] = rcof
-                changed = True
+    # inter-reduce tails in one pass and make monic: no lead divides another,
+    # so reduction keeps every lead, and a tail reduced against the other
+    # leads stays reduced while the other tails change
+    for k in range(len(min_basis)):
+        others = min_basis[:k] + min_basis[k + 1:]
+        ocofs = min_cofs[:k] + min_cofs[k + 1:]
+        min_basis[k], min_cofs[k] = normal_form(min_basis[k], others, ocofs, min_cofs[k])
     final = []
     final_cofs = []
     for p, cof in zip(min_basis, min_cofs):

@@ -155,46 +155,35 @@ class RootContext:
         return 2 * sum(map(mul, alpha, beta)) - cross
 
 
-def _simple_root(n: int, i: int) -> Vector:
-    v = [0] * n
-    v[i] = 1
-    return tuple(v)
-
-
 @lru_cache(maxsize=None)
 def root_context(spec: GroupSpec) -> RootContext:
+    """The finite positive roots, as the closure of the simple roots under
+    alpha -> s_i alpha = alpha + alpha_i whenever (alpha, alpha_i) = -1.
+
+    Each step stays among the positive roots, since s_i permutes them apart
+    from alpha_i.  Every positive beta of height > 1 is reached: from
+    2 = (beta, beta) = sum k_i (beta, alpha_i) with k_i >= 0, some i in its
+    support has (beta, alpha_i) > 0, so (beta, alpha_i) = 1 in a simply-laced
+    system, and beta - alpha_i = s_i beta is a positive root one step below
+    with (beta - alpha_i, alpha_i) = -1 (Humphreys, Lie algebras, 10.2).
+    """
     graph = mckay_graph(spec)
     if graph.affine_type == "A0(1)":
         raise ValueError("cyclic(1) gives the degenerate A0 diagram; no finite root system")
     n = graph.size
     finite = tuple(range(1, n))
-    cartan = graph.affine_cartan()
-
-    def pair_simple(alpha: Vector, i: int) -> int:
-        return sum(map(mul, cartan[i], alpha))
-
-    roots: set[Vector] = {_simple_root(n, i) for i in finite}
-    frontier = set(roots)
+    edges = [[(j, m) for j, m in enumerate(row) if m] for row in graph.adjacency]
+    roots = {tuple(int(j == i) for j in range(n)) for i in finite}
+    frontier = list(roots)
     while frontier:
-        nxt: set[Vector] = set()
+        nxt = []
         for alpha in frontier:
             for i in finite:
-                # p = length of the alpha-string below alpha in direction i
-                p = 0
-                lower = list(alpha)
-                while True:
-                    lower[i] -= 1
-                    if tuple(lower) in roots:
-                        p += 1
-                    else:
-                        break
-                if p - pair_simple(alpha, i) >= 1:
-                    up = list(alpha)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        nxt.add(t)
+                if 2 * alpha[i] - sum(m * alpha[j] for j, m in edges[i]) == -1:
+                    up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        nxt.append(up)
         frontier = nxt
     positive = tuple(sorted(roots))
     phi = tuple(d - (1 if i == 0 else 0) for i, d in enumerate(graph.dims))
@@ -262,37 +251,41 @@ def sigma_c(ctx: RootContext, c: tuple[Fraction, ...]) -> tuple[Vector, ...]:
 
 
 def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ...]:
-    """A rational c with c.alpha = 0, c.delta = 1 and c.beta not an integer
-    for every finite root beta != +-alpha; then Sigma_c = {alpha}."""
+    """A rational c with c.alpha = 0, c.delta = 1 and 0 < |c.beta| < 1 for
+    every finite positive root beta != alpha; then Sigma_c = {alpha}.
+
+    With the Euclidean dot, t = 2(alpha.alpha + alpha.phi) max(phi) + 1 and
+    u_i = t^i over the r vertices, c' = ((alpha.alpha) u - (u.alpha) alpha)
+    / ((alpha.alpha) t^r) is orthogonal to alpha, and c_0 = 1 - sum_{i>0}
+    c'_i delta_i makes c.delta = 1, as delta_0 = 1.  A finite beta has
+    beta_0 = 0, so (alpha.alpha) t^r c.beta = sum_{i>0} w_i t^i with the
+    integers w = (alpha.alpha) beta - (alpha.beta) alpha.  As beta <= phi
+    coefficientwise, |w_i| <= (alpha.alpha + alpha.phi) max(phi) = (t - 1)/2.
+    So the sum is 0 only when every digit w_i is, that is when beta is a
+    multiple of alpha, which no positive root but alpha is; and
+    |sum w_i t^i| <= t (t^(r-1) - 1)/2 < t^r.  So the real root
+    m delta + s beta has c-pairing m + s c.beta = 0 only for beta = alpha,
+    m = 0 and s = 1, and R_c = {alpha}.
+    """
     if alpha not in ctx.positive_roots:
         raise ValueError("alpha must be a finite positive root")
-    n = ctx.graph.size
-    delta = ctx.delta
-    primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093]
-    for attempt, p in enumerate(primes):
-        # c_k = base_k / p; each retry changes the quadratic base_k, since a
-        # new prime alone only rescales the candidate
-        cand = [Fraction(k * k + 1 + attempt * k * (k + 3), p) for k in range(n)]
-        # adjust two coordinates to hit c.alpha = 0 and c.delta = 1 exactly;
-        # pick one coordinate in alpha's support and one outside (vertex 0).
-        support = [i for i in range(n) if alpha[i]]
-        i1 = support[attempt % len(support)]
-        i0 = 0  # vertex 0 never lies in a finite root's support
-        # solve for cand[i1], cand[i0]
-        rest_alpha = sum(cand[i] * alpha[i] for i in range(n) if i != i1)
-        cand[i1] = -rest_alpha / alpha[i1]
-        rest_delta = sum(cand[i] * delta[i] for i in range(n) if i != i0)
-        cand[i0] = (1 - rest_delta) / delta[i0]
-        c = tuple(cand)
-        if dot(c, alpha) != 0 or dot(c, delta) != 1:
-            continue
-        big_c, lcd = _cleared(c)
-        if all(beta == alpha or _idot(big_c, beta) % lcd for beta in ctx.positive_roots):
-            result = sigma_c(ctx, c)
-            if result != (alpha,):
-                raise AssertionError("certified c does not give Sigma_c = {alpha}")
-            return c
-    raise RuntimeError("generic parameter search failed after bounded retries")
+    r = ctx.graph.size
+    aa = _idot(alpha, alpha)
+    t = 2 * (aa + _idot(alpha, ctx.phi)) * max(ctx.phi) + 1
+    u = [t ** i for i in range(r)]
+    ua = _idot(u, alpha)
+    den = aa * t ** r
+    num = [aa * ui - ua * ai for ui, ai in zip(u, alpha)]  # den * c
+    num[0] = den - _idot(num[1:], ctx.delta[1:])
+    c = tuple(Fraction(x, den) for x in num)
+    if sigma_c(ctx, c) != (alpha,):
+        raise AssertionError("constructed c does not give Sigma_c = {alpha}")
+    return c
+
+
+def _require_subgroup_of(spec: GroupSpec, sub: Subgroup) -> None:
+    if sub.group.spec != spec:
+        raise ValueError(f"subgroup {sub.name!r} of {sub.group.spec} is not a subgroup of {spec}")
 
 
 def _linear_trivial_on(spec: GroupSpec, sub: Subgroup) -> tuple[int, ...]:
@@ -328,8 +321,10 @@ def admissible_alpha(spec: GroupSpec, sub: Subgroup) -> Vector:
     exactly one vertex i carrying a linear character of Gamma/Delta (and
     k_j = 0 at the other such vertices), tie-broken by graph distance from
     vertex 0 and then lex; the identity sum_{i != 0} k_i n_i = 2|Delta| - 1
-    is verified, never assumed.
+    is verified, never assumed.  A subgroup of another group raises
+    ``ValueError``.
     """
+    _require_subgroup_of(spec, sub)
     group = build_group(spec)
     ctx = root_context(spec)
     if sub.order == group.order:
@@ -364,7 +359,9 @@ def admissible_alpha(spec: GroupSpec, sub: Subgroup) -> Vector:
 
 def character_of_L(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[Vector, int]:
     """ch(L) = n delta + phi (Delta = Gamma) or (n-1) delta + alpha, and its
-    dimension; dim = g + 1 is verified against the closed form for g."""
+    dimension; dim = g + 1 is verified against the closed form for g.  A
+    subgroup of another group raises ``ValueError``."""
+    _require_subgroup_of(spec, sub)
     if n < 1:
         raise ValueError("n must be >= 1")
     group = build_group(spec)
@@ -383,7 +380,8 @@ def character_of_L(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[Vector, int]
 
 def dimension_bound_check(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[bool, int]:
     """dim L^chi <= n for all chi in (Gamma/Delta)^vee with equality exactly
-    once; returns (ok, vertex achieving equality)."""
+    once; returns (ok, vertex achieving equality).  ``character_of_L``
+    rejects a subgroup of another group."""
     ch, _ = character_of_L(spec, sub, n)
     verts = _linear_trivial_on(spec, sub)
     eq = [v for v in verts if ch[v] == n]
@@ -393,6 +391,8 @@ def dimension_bound_check(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[bool,
 
 def dot_export(spec: GroupSpec, sub: Subgroup | None = None) -> str:
     """Graphviz DOT text for the McKay graph, with delta (and alpha) labels."""
+    if sub is not None:
+        _require_subgroup_of(spec, sub)
     graph = mckay_graph(spec)
     group = build_group(spec)
     alpha = None

@@ -18,7 +18,14 @@ rows by monomial shape.
 closed-form and stored character tables that the McKay sieve replaced;
 ``element_order`` and ``power`` read what they need off the multiplication
 table.  ``pairwise_maximal`` is the O(c^2) maximality filter that
-``mckay._maximal`` replaced.
+``mckay._maximal`` replaced.  ``columns_are_orthogonal`` is the column
+half of the table check, which row orthonormality of a square table implies.
+
+``alpha_string_positive_roots`` grows the positive roots by the length of
+each alpha-string, where ``mckay.root_context`` adds alpha_i exactly when
+(alpha, alpha_i) = -1; ``prime_retry_generic_on_hyperplane`` is the search
+over ten primes and quadratic candidates that the explicit construction of
+``mckay.generic_on_hyperplane`` replaced.
 
 ``generated_subgroup`` closes seeds under products and inverses;
 ``commutator_subgroup_by_sweep`` closes all |G|^2 commutators, the sweep
@@ -43,15 +50,18 @@ replaces it there counts the call.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from zerofiber import invariants, linalg
 from zerofiber.characters import ClassFunction, linear_characters, trivial_character
-from zerofiber.cyclotomic import Cyc
+from zerofiber.cyclotomic import Cyc, hermitian_sum
 from zerofiber.groebner import GroebnerBasis, buchberger
 from zerofiber.groups import FiniteGroup, GroupSpec, build_group
 from zerofiber.invariants import fundamental_invariants, reynolds_many
 from zerofiber.linalg import CycMatrix, quat_row_key, quat_rref_key
+from zerofiber.mckay import McKayGraph, RootContext, dot
 from zerofiber.poly2 import Poly2
 from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import MonomialElement, Reflection, WreathContext, alpha_of
@@ -533,6 +543,78 @@ def bi_table(group: FiniteGroup) -> list[ClassFunction]:
         [c(6), c(-6), c(0), c(0), c(0), c(1), c(1), c(-1), c(-1)],
     ]
     return _labelled_table(group, labels, tuple(preds), rows)
+
+
+# -- roots and the generic parameter ------------------------------------------------
+
+def alpha_string_positive_roots(graph: McKayGraph) -> tuple[tuple[int, ...], ...]:
+    """The finite positive roots by alpha-strings: alpha + alpha_i is a root
+    exactly when the string p = max{k : alpha - k alpha_i is a root} has
+    p - (alpha, alpha_i) >= 1, grown from the simple roots one height at a
+    time."""
+    n = graph.size
+    finite = range(1, n)
+    cartan = graph.affine_cartan()
+    roots = {tuple(int(j == i) for j in range(n)) for i in finite}
+    frontier = set(roots)
+    while frontier:
+        nxt = set()
+        for alpha in frontier:
+            for i in finite:
+                p = 0
+                lower = list(alpha)
+                while True:
+                    lower[i] -= 1
+                    if tuple(lower) in roots:
+                        p += 1
+                    else:
+                        break
+                if p - sum(map(mul, cartan[i], alpha)) >= 1:
+                    up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        nxt.add(up)
+        frontier = nxt
+    return tuple(sorted(roots))
+
+
+def prime_retry_generic_on_hyperplane(ctx: RootContext, alpha) -> tuple[Fraction, ...]:
+    """A c with c.alpha = 0, c.delta = 1 and c.beta not an integer for every
+    finite positive beta != alpha, by trying quadratic candidates over ten
+    primes; raises ``RuntimeError`` when all ten fail."""
+    n = ctx.graph.size
+    delta = ctx.delta
+    primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093]
+    for attempt, p in enumerate(primes):
+        # each retry changes the quadratic base, since a new prime alone only
+        # rescales the candidate
+        cand = [Fraction(k * k + 1 + attempt * k * (k + 3), p) for k in range(n)]
+        support = [i for i in range(n) if alpha[i]]
+        i1 = support[attempt % len(support)]
+        cand[i1] = -sum(cand[i] * alpha[i] for i in range(n) if i != i1) / alpha[i1]
+        cand[0] = (1 - sum(cand[i] * delta[i] for i in range(1, n))) / delta[0]
+        c = tuple(cand)
+        if dot(c, alpha) != 0 or dot(c, delta) != 1:
+            continue
+        if all(beta == alpha or dot(c, beta).denominator != 1 for beta in ctx.positive_roots):
+            return c
+    raise RuntimeError("generic parameter search failed after bounded retries")
+
+
+# -- character tables -------------------------------------------------------------
+
+def columns_are_orthogonal(group: FiniteGroup, chars) -> bool:
+    """Column orthogonality: sum_chi chi(C) conj(chi(C')) is |G| / |C| when
+    C = C' and 0 otherwise, for every pair of classes."""
+    k = len(chars)
+    for c1 in range(k):
+        col1 = [chi.values[c1] for chi in chars]
+        for c2 in range(c1, k):
+            acc = hermitian_sum([1] * k, col1, [chi.values[c2] for chi in chars])
+            expected = Fraction(group.order, len(group.classes[c1])) if c1 == c2 else 0
+            if not (acc.is_rational() and acc.as_rational() == expected):
+                return False
+    return True
 
 
 # -- admissible roots --------------------------------------------------------------

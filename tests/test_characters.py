@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 
 from oracles import (bd_table, bi_table, bo_table, bt_table, classes_by_full_orbits,
-                     commutator_subgroup_by_sweep, coset_table_linear_characters, power)
+                     columns_are_orthogonal, commutator_subgroup_by_sweep,
+                     coset_table_linear_characters, power)
 from zerofiber import characters
 from zerofiber.cyclotomic import Cyc
 from zerofiber.characters import (
@@ -14,6 +15,7 @@ from zerofiber.characters import (
     inner_product,
     kernel_contains,
     linear_characters,
+    validate_table,
     value_at_element,
 )
 from zerofiber.groups import GroupSpec, build_group, commutator_subgroup, resolve_subgroup
@@ -24,8 +26,8 @@ ALL_SPECS = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6",
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_tables_validate(spec):
-    # character_table checks row orthonormality, column orthogonality and the
-    # degree sum on construction; mckay_graph certifies McKay integrality
+    # character_table checks row orthonormality and the degree sum on
+    # construction; mckay_graph certifies McKay integrality
     chars = character_table(GroupSpec.parse(spec))
     g = build_group(GroupSpec.parse(spec))
     assert len(chars) == len(g.classes)
@@ -220,6 +222,30 @@ def test_galois_conjugation_permutes_the_rows(spec):
     for k in (k for k in range(1, m + 1) if gcd(k, m) == 1):
         images = [ClassFunction(tuple(v.galois(k) for v in chi.values)) for chi in chars]
         assert value_keys(images) == rows
+
+
+@pytest.mark.parametrize("spec", FULL_CATALOGUE)
+def test_columns_are_orthogonal(spec):
+    """The column relation that validate_table no longer checks holds on
+    every table, as row orthonormality of a square table implies."""
+    group = build_group(GroupSpec.parse(spec))
+    assert columns_are_orthogonal(group, character_table(GroupSpec.parse(spec)))
+
+
+@pytest.mark.parametrize("spec", ["bd:3", "bt", "bi"])
+def test_a_table_with_a_broken_column_is_rejected(spec):
+    """Positive control: the sign of one nonzero entry of the last row
+    flipped breaks the column relation, and the row check rejects the table
+    too."""
+    group = build_group(GroupSpec.parse(spec))
+    table = list(character_table(GroupSpec.parse(spec)))
+    last = list(table[-1].values)
+    k = next(k for k in range(1, len(last)) if not last[k].is_zero())
+    last[k] = -last[k]
+    table[-1] = ClassFunction(tuple(last))
+    assert not columns_are_orthogonal(group, table)
+    with pytest.raises(AssertionError, match="inner product"):
+        validate_table(group, table)
 
 
 def row_keys(chars):

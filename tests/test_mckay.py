@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import pairwise_maximal, power
+from oracles import (alpha_string_positive_roots, pairwise_maximal, power,
+                     prime_retry_generic_on_hyperplane)
 from zerofiber import characters, mckay
 from zerofiber.characters import ClassFunction, character_table
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
@@ -131,9 +132,10 @@ def test_generic_on_hyperplane_simple_root():
     assert sigma_c(ctx, c) == (alpha,)
 
 
-def test_generic_on_hyperplane_retries_new_candidates():
-    # on this root of A29(1) the first candidate makes another root's
-    # pairing an integer; the retries must move off it
+def test_generic_on_hyperplane_where_the_first_prime_candidate_failed():
+    # on this root of A29(1) the first candidate of the prime search made
+    # another root's pairing an integer, and the search had to retry; the
+    # construction and the search give the same Sigma_c
     ctx = root_context(S("cyclic:30"))
     alpha = (0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0,
              0, 0)
@@ -142,6 +144,7 @@ def test_generic_on_hyperplane_retries_new_candidates():
     assert dot(c, alpha) == 0
     assert dot(c, ctx.delta) == 1
     assert sigma_c(ctx, c) == (alpha,)
+    assert sigma_c(ctx, prime_retry_generic_on_hyperplane(ctx, alpha)) == (alpha,)
 
 
 def test_delta_plus_phi_for_cyclic2():
@@ -299,12 +302,38 @@ def test_roots_with_pairing_zero_match_the_scan(spec):
 @pytest.mark.parametrize("spec", ["cyclic:30", "bd:12", "bt", "bo", "bi"])
 def test_generic_on_hyperplane_certifies_every_root(spec):
     """Sigma_c = {alpha} is certified inside generic_on_hyperplane on every
-    finite positive root (435 for A29(1))."""
+    finite positive root (435 for A29(1)), and the bound of its proof holds:
+    0 < |c.beta| < 1 for every other finite positive root beta, read off the
+    integral L*c with L the lcm of c's denominators."""
     ctx = root_context(S(spec))
     for alpha in ctx.positive_roots:
         c = generic_on_hyperplane(ctx, alpha)
         assert dot(c, alpha) == 0
         assert dot(c, ctx.delta) == 1
+        big_c, lcd = mckay._cleared(c)
+        assert all(0 < abs(mckay._idot(big_c, beta)) < lcd
+                   for beta in ctx.positive_roots if beta != alpha)
+
+
+ROOT_SPECS = [f"cyclic:{ell}" for ell in range(2, 31)] + [f"bd:{n}" for n in range(1, 16)] + [
+    "bt", "bo", "bi"]
+
+
+@pytest.mark.parametrize("spec", ROOT_SPECS)
+def test_positive_roots_equal_the_alpha_string_oracle(spec):
+    ctx = root_context(S(spec))
+    assert ctx.positive_roots == alpha_string_positive_roots(ctx.graph)
+
+
+@pytest.mark.parametrize("gamma,other,delta", [("bt", "bo", "comm"), ("bd:2", "bd:3", "comm")])
+def test_a_subgroup_of_another_group_is_rejected(gamma, other, delta):
+    spec = S(gamma)
+    sub = resolve_subgroup(build_group(S(other)), delta)
+    message = f"subgroup '{delta}' of {other} is not a subgroup of {gamma}"
+    for call in (lambda: admissible_alpha(spec, sub), lambda: character_of_L(spec, sub, 1),
+                 lambda: dimension_bound_check(spec, sub, 1), lambda: dot_export(spec, sub)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 # -- the McKay matrix and its certificates ---------------------------------------
