@@ -10,6 +10,11 @@ keyed ``irreducibility``).  GAMMA is a group spec such as ``bt`` or
 ``cyclic:4``; DELTA is ``whole``, ``comm``, ``cyc2`` or ``gens:`` with
 comma-separated element indices, as ``resolve_subgroup`` reads it.
 
+    zerofiber appendix GAMMA DELTA N
+
+adds to that report the verdict of each appendix identity, ``pass`` or
+``fail(reducible)``, and the seconds of the stage ``identities``.
+
     zerofiber ledger GAMMA
 
 prints the zero fibre of C^2 / GAMMA as one JSON object: its degree, the
@@ -31,7 +36,7 @@ from .groups import GroupSpec, build_group, resolve_subgroup
 from .invariants import (_molien_certificate, fundamental_invariants, invariant_ideal_basis,
                          zero_fiber_degree)
 from .ledger import verify_identity_ledger
-from .wreath import WreathContext, hyperplanes, numerology_report, reflections
+from .wreath import WreathContext, appendix_report, hyperplanes, numerology_report, reflections
 
 
 def _stage_timer() -> tuple[dict[str, float], Callable]:
@@ -47,20 +52,25 @@ def _stage_timer() -> tuple[dict[str, float], Callable]:
     return seconds, stage
 
 
-def report(ctx: WreathContext) -> dict:
-    """The numerology report of ctx as a JSON-ready dict, with stage times."""
+def report(ctx: WreathContext, appendix: bool = False) -> dict:
+    """The numerology report of ctx as a JSON-ready dict, with stage times,
+    and with the appendix verdicts if asked."""
     seconds, stage = _stage_timer()
     refl = stage("reflections", reflections, ctx)
     planes = stage("hyperplanes", hyperplanes, ctx, refl)
     # O(N): the closed-form checks and irreducibility from (n, |Gamma|, |Delta|)
     rep = stage("irreducibility", numerology_report, ctx, refl, planes)
-    return {
+    out = {
         "gamma": rep.gamma, "delta": rep.delta, "n": rep.n,
         "N": rep.N, "Nstar": rep.Nstar, "count_a": rep.count_a, "count_b": rep.count_b,
         "g": str(rep.g), "h": str(rep.h), "k": str(rep.k),
         "integral": rep.integral, "irreducible": rep.irreducible,
-        "stage_seconds": seconds,
     }
+    if appendix:
+        app = stage("identities", appendix_report, ctx, refl, planes, rep)
+        out["verdicts"] = {name: getattr(app, name) for name in
+                           ("trace_identity", "f_operator", "pairing_sum", "k_identity")}
+    return {**out, "stage_seconds": seconds}
 
 
 def _verdict(gb) -> str:
@@ -98,10 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         prog="zerofiber",
         description="Exact numerology of quaternionic wreath groups and zero fibres of C^2/Gamma.")
     sub = ap.add_subparsers(dest="command", required=True)
-    rp = sub.add_parser("report", help="numerology report of W_n(Gamma, Delta) as JSON")
-    rp.add_argument("gamma", help="group spec, e.g. bt, bd:3, cyclic:4")
-    rp.add_argument("delta", help="normal subgroup: whole, comm, cyc2 or generator indices")
-    rp.add_argument("n", type=int, help="rank n >= 1")
+    for name, text in (("report", "numerology report"),
+                       ("appendix", "numerology report and appendix verdicts")):
+        rp = sub.add_parser(name, help=f"{text} of W_n(Gamma, Delta) as JSON")
+        rp.add_argument("gamma", help="group spec, e.g. bt, bd:3, cyclic:4")
+        rp.add_argument("delta", help="normal subgroup: whole, comm, cyc2 or generator indices")
+        rp.add_argument("n", type=int, help="rank n >= 1")
     lp = sub.add_parser("ledger", help="zero fibre, identity ledger and certificates as JSON")
     lp.add_argument("gamma", help="group spec, e.g. bt, bd:3, cyclic:4")
     args = ap.parse_args(argv)
@@ -116,13 +128,11 @@ def main(argv: list[str] | None = None) -> int:
         failed = out["verify"] != "pass" or "failed" in out["ledger"].values()
         return 1 if failed else 0
     try:
-        if args.n < 1:
-            raise ValueError(f"n must be at least 1, got {args.n}")
         group = build_group(GroupSpec.parse(args.gamma))
         ctx = WreathContext(group, resolve_subgroup(group, args.delta), args.n)
     except ValueError as exc:
-        ap.error(f"report {args.gamma} {args.delta} {args.n}: {exc}")
-    json.dump(report(ctx), sys.stdout)
+        ap.error(f"{args.command} {args.gamma} {args.delta} {args.n}: {exc}")
+    json.dump(report(ctx, args.command == "appendix"), sys.stdout)
     sys.stdout.write("\n")
     return 0
 

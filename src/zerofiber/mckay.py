@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from .characters import (ClassFunction, character_table, defining_character, inner_product,
@@ -205,49 +204,8 @@ def dot(c: tuple[Fraction, ...], v: Vector) -> Fraction:
     return sum((ci * vi for ci, vi in zip(c, v)), Fraction(0))
 
 
-def _cleared(c: tuple[Fraction, ...]) -> tuple[Vector, int]:
-    """(C, L) with L the lcm of c's denominators and C = L*c integral."""
-    lcd = lcm(*(ci.denominator for ci in c))
-    return tuple(ci.numerator * (lcd // ci.denominator) for ci in c), lcd
-
-
 def _idot(u: Vector, v: Vector) -> int:
     return sum(map(mul, u, v))
-
-
-def all_roots_with_pairing_zero(ctx: RootContext, c: tuple[Fraction, ...]) -> list[Vector]:
-    """All positive real roots n*delta + beta with (n delta + beta) . c = 0.
-
-    Requires c . delta != 0 so the search is finite.  With C = L*c integral,
-    the real root n delta + s beta (beta a finite positive root, s = +-1) pairs
-    to zero with c exactly when n = -s (C.beta) / (C.delta); it is positive
-    when n > 0, or n = 0 and s = +1.  Solving for n gives every solution of
-    the scan over n <= max|c.beta| / |c.delta| + 1, since that bound holds
-    for each of them.
-    """
-    big_c, _ = _cleared(c)
-    delta = ctx.delta
-    cd = _idot(big_c, delta)
-    if cd == 0:
-        raise ValueError("c . delta = 0 gives an infinite root search")
-    out = []
-    for beta in ctx.positive_roots:
-        cb = _idot(big_c, beta)
-        for s in (1, -1):
-            nn, r = divmod(-s * cb, cd)
-            if r == 0 and (nn > 0 or (nn == 0 and s == 1)):
-                out.append(tuple(nn * d + s * b for d, b in zip(delta, beta)))
-    return sorted(set(out))
-
-
-def sigma_c(ctx: RootContext, c: tuple[Fraction, ...]) -> tuple[Vector, ...]:
-    """Minimal positive elements of R_c under the coefficientwise order."""
-    rc = all_roots_with_pairing_zero(ctx, c)
-    minimal = []
-    for a in rc:
-        if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in rc):
-            minimal.append(a)
-    return tuple(sorted(minimal))
 
 
 def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ...]:
@@ -265,7 +223,8 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
     multiple of alpha, which no positive root but alpha is; and
     |sum w_i t^i| <= t (t^(r-1) - 1)/2 < t^r.  So the real root
     m delta + s beta has c-pairing m + s c.beta = 0 only for beta = alpha,
-    m = 0 and s = 1, and R_c = {alpha}.
+    m = 0 and s = 1, and R_c = {alpha}.  The three facts are checked at run
+    time on the integers den * c, in one pass over the positive roots.
     """
     if alpha not in ctx.positive_roots:
         raise ValueError("alpha must be a finite positive root")
@@ -277,10 +236,12 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
     den = aa * t ** r
     num = [aa * ui - ua * ai for ui, ai in zip(u, alpha)]  # den * c
     num[0] = den - _idot(num[1:], ctx.delta[1:])
-    c = tuple(Fraction(x, den) for x in num)
-    if sigma_c(ctx, c) != (alpha,):
-        raise AssertionError("constructed c does not give Sigma_c = {alpha}")
-    return c
+    if (_idot(num, alpha) != 0 or _idot(num, ctx.delta) != den
+            or not all(0 < abs(_idot(num, beta)) < den
+                       for beta in ctx.positive_roots if beta != alpha)):
+        raise AssertionError("constructed c fails the bound 0 < |c.beta| < 1, so Sigma_c "
+                             "= {alpha} is not certified")
+    return tuple(Fraction(x, den) for x in num)
 
 
 def _require_subgroup_of(spec: GroupSpec, sub: Subgroup) -> None:

@@ -1,10 +1,10 @@
-"""Quaternions with cyclotomic components and the Hermitian/symplectic forms.
+"""Quaternions with cyclotomic components: the arithmetic of the
+quaternionic row reduction ``linalg.quat_rref_key``.
 
 H is modelled as C + jC: q = z1 + j*z2 with z1, z2 in a cyclotomic field.
 Left multiplication by q on the right C-basis (1, j) is the 2x2 matrix
 [[z1, -conj(z2)], [z2, conj(z1)]], which identifies unit quaternions with
-SU(2) and is how group elements stored as 2x2 matrices convert to
-quaternions (q = (a, c) for a unitary matrix [[a, b], [c, d]]).
+SU(2): a group element [[a, b], [c, d]] is the quaternion (a, c).
 """
 
 from __future__ import annotations
@@ -28,20 +28,6 @@ class Quaternion:
     @staticmethod
     def one(m: int = 1) -> "Quaternion":
         return Quaternion(Cyc.one(m), Cyc.zero(m))
-
-    @staticmethod
-    def basis(name: str, m: int = 4) -> "Quaternion":
-        """One of 1, i, j, k at a conductor divisible by 4 (for i and k)."""
-        if name == "1":
-            return Quaternion.one(m)
-        if name == "i":
-            return Quaternion(Cyc.zeta(m, m // 4), Cyc.zero(m))
-        if name == "j":
-            return Quaternion(Cyc.zero(m), Cyc.one(m))
-        if name == "k":
-            # k = ij = j * (-i)
-            return Quaternion(Cyc.zero(m), -Cyc.zeta(m, m // 4))
-        raise ValueError(f"unknown basis quaternion {name!r}")
 
     def is_zero(self) -> bool:
         return self.z1.is_zero() and self.z2.is_zero()
@@ -95,23 +81,3 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.z1}, j*{self.z2})"
-
-
-def quat_from_matrix(mat: tuple[Cyc, Cyc, Cyc, Cyc]) -> Quaternion:
-    """Convert an SU(2)-form matrix [[a, b], [c, d]] (b = -conj c, d = conj a)."""
-    a, b, c, d = mat
-    if d != a.conj() or b != -c.conj():
-        raise ValueError("matrix is not in SU(2) normal form")
-    return Quaternion(a, c)
-
-
-def hermitian_form(x: tuple[Quaternion, ...], y: tuple[Quaternion, ...]) -> Quaternion:
-    """(x, y) = sum_p conj(x_p) y_p, H-valued."""
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    m = x[0].z1.m if x else 1
-    acc = Quaternion.zero(m)
-    for xp, yp in zip(x, y):
-        acc = acc + xp.conj() * yp
-    return acc
-

@@ -14,32 +14,27 @@ of a coordinate that r neither permutes nor scales, so that rank is taken on
 the moved coordinates only: a 2 x 2 block for type b and 4 x 4 for type a.
 The hyperplanes are built from the same shapes: the type-b reflections at
 coordinate p share {x_p = 0}, and each type-a reflection has its own.  Both
-counts are checked against their closed forms N and N*.  No quaternion is
-formed on this path: ``alpha_of`` builds a hyperplane's normal only where the
-appendix identities read it.  Whether W acts irreducibly on H^n is read off
-(n, |Gamma|, |Delta|) by a proven closed form, with no elimination.  Tests
-certify on small groups that the enumeration equals an element-by-element
-scan of W, that the block rank equals the rank of the full 2n x 2n matrix,
-that the hyperplanes equal a deduplication of every reflection's normal by
-its exact key, and that the closed form equals a search for a W-stable
-subspace of the arrangement.
+counts are checked against their closed forms N and N*.  The appendix
+identities are read off the same shapes, by integer counts, sums of group
+matrices and integer keys of flats; no quaternion is formed.  Whether W
+acts irreducibly on H^n is read off (n, |Gamma|, |Delta|) by a proven
+closed form.  Tests certify on small groups that the enumeration equals a
+scan of W, that the block rank equals the full 2n x 2n rank, that the
+hyperplanes equal a deduplication of every reflection's normal by its
+exact key, that the closed form equals a search for a W-stable subspace,
+and that the appendix verdicts equal those of the quaternionic computation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .cyclotomic import Cyc
 from .groups import FiniteGroup, Subgroup
-from .linalg import quat_rref_key, rank
-from .quaternion import Quaternion, hermitian_form, quat_from_matrix
-
-APPENDIX_N_CAP = 3
-APPENDIX_GAMMA_CAP = 24
+from .linalg import rank
 
 
 class MonomialElement(NamedTuple):
@@ -52,6 +47,14 @@ class WreathContext:
     group: FiniteGroup
     sub: Subgroup
     n: int
+
+    def __post_init__(self):
+        where = f"Gamma {self.group.spec}, Delta {self.sub.name!r}, n = {self.n}"
+        if self.n < 1:
+            raise ValueError(f"{where}: n must be at least 1, got {self.n}")
+        if self.sub.group is not self.group:
+            raise ValueError(f"{where}: subgroup {self.sub.name!r} of {self.sub.group.spec} "
+                             f"is not a subgroup of {self.group.spec}")
 
     @property
     def order(self) -> int:
@@ -74,15 +77,6 @@ class WreathContext:
                 gammas = head + (mult[ip][d],)
                 for w in perms:
                     yield w, gammas
-
-    def elements(self) -> Iterator[MonomialElement]:
-        for w, gammas in self.raw_elements():
-            yield MonomialElement(w, gammas)
-
-    @cached_property
-    def unit_quaternions(self) -> tuple[Quaternion, ...]:
-        """The unit quaternion of each element of Gamma, by element index."""
-        return tuple(quat_from_matrix(mat) for mat in self.group.elements)
 
     def complex_trace(self, el: MonomialElement) -> Cyc:
         """tr_C(el) on the 2n-dimensional complex restriction.  Only the
@@ -176,18 +170,6 @@ class Hyperplane:
     @property
     def stabilizer_order(self) -> int:
         return 1 + len(self.reflection_ids)
-
-
-def alpha_of(ctx: WreathContext, r: Reflection) -> tuple[Quaternion, ...]:
-    """The normal of the hyperplane that r fixes, with its first nonzero
-    coordinate 1: e_p for type b, and e_p - e_q gamma^{-1} for type a, whose
-    hyperplane is x_p = gamma x_q."""
-    m = ctx.group.conductor
-    alpha = [Quaternion.zero(m)] * ctx.n
-    alpha[r.p] = Quaternion.one(m)
-    if r.kind == "a":
-        alpha[r.q] = -ctx.unit_quaternions[r.gamma].conj()  # -gamma^{-1} for unit gamma
-    return tuple(alpha)
 
 
 def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[Hyperplane]:
@@ -311,8 +293,8 @@ def numerology_report(ctx: WreathContext, refl: list[Reflection],
 @dataclass(frozen=True)
 class AppendixReport:
     numerology: NumerologyReport
-    # each verdict is pass, skipped(cap) or, for (ii)-(iv) on a reducible
-    # module, fail(reducible); any other failure raises
+    # each verdict is pass or, for (ii)-(iv) on a reducible module,
+    # fail(reducible); any other failure raises
     trace_identity: str
     f_operator: str
     pairing_sum: str
@@ -320,16 +302,52 @@ class AppendixReport:
     irreducibility_warning: bool
 
 
-def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixReport:
-    """The four appendix identities, exact.  (ii)-(iv) are O(N*^2) exact
-    subspace computations and are capped by default.  They assume that W
-    acts irreducibly: on a reducible module a failed identity is reported
-    as fail(reducible), while on an irreducible one it raises."""
+def appendix_checks(ctx: WreathContext) -> AppendixReport:
+    """The four appendix identities, exact, on every (Gamma, Delta, n)."""
     refl = reflections(ctx)
     planes = hyperplanes(ctx, refl)
-    report = numerology_report(ctx, refl, planes)
-    n, m = ctx.n, ctx.group.conductor
+    return appendix_report(ctx, refl, planes, numerology_report(ctx, refl, planes))
+
+
+def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyperplane],
+                    report: NumerologyReport) -> AppendixReport:
+    """The appendix identities (i)-(iv), read off the shapes of the
+    hyperplanes with no quaternion formed.  They assume that W acts
+    irreducibly: on a reducible module a failed identity is reported as
+    fail(reducible), while on an irreducible one it raises.
+
+    For the form (x, y) = sum_s conj(x_s) y_s, a type-b hyperplane {x_p = 0}
+    has normal e_p of norm 1, and a type-a one (p, q, gamma), p < q, is
+    {x_p = gamma x_q}, with normal e_p - e_q gamma^-1 of norm 2.  A unit
+    quaternion u is read as its 2 x 2 group matrix, which is additive and
+    multiplicative, with trace 2 Re u.
+
+    (i) sum_r tr_C(1 - r) = 2(N + N*), by the traces of the fixed coordinates.
+
+    (ii) f = sum_H alpha_H (alpha_H, .) / (alpha_H, alpha_H) = (k/2) 1.  e_p
+    adds 1 at (p, p); (p, q, gamma) adds 1/2 at (p, p) and (q, q), -gamma/2
+    at (p, q) and -gamma^-1/2 at (q, p).  So f_ii = #type-b at i +
+    #type-a through i / 2, and f_pq = -S_pq / 2 = -f_qp^*, with S_pq the sum
+    of the group matrices gamma over the type-a hyperplanes on {p, q}.
+
+    (iii) 2 sum_K t(H, K) = k for every H; see ``_pairing_sums``.
+
+    (iv) |A^H| = N* + 1 - k for every H, where A^H holds the distinct flats
+    H cap K, K != H, each keyed by integers (``_meet_key``):
+    - {x_p = x_q = 0}: from two type-b hyperplanes, a type-b one at p or q
+      with (p, q, gamma), or (p, q, gamma) with (p, q, delta), as
+      (gamma - delta) x_q = 0 and a nonzero quaternion is invertible;
+    - {x_r = 0, x_p = gamma x_q}, r not in {p, q};
+    - two type-a equations on disjoint pairs;
+    - a linked triple u < v < w: type-a equations on two pairs that share
+      one coordinate give x_u = a x_w and x_v = b x_w, with a and b composed
+      through group.mult and group.inv, and the flat determines (a, b).
+    Flats of different kinds differ in the coordinates they set to zero or
+    tie together, so two pairs share a key exactly when they share a flat.
+    """
+    group, n = ctx.group, ctx.n
     N, Nstar, k = report.N, report.Nstar, report.k
+    shapes = [refl[h.reflection_ids[0]] for h in planes]
 
     def verdict(failure: str) -> str:
         if not failure:
@@ -338,63 +356,107 @@ def appendix_checks(ctx: WreathContext, enforce_caps: bool = True) -> AppendixRe
             return "fail(reducible)"
         raise AssertionError(failure)
 
-    # (i) sum over reflections of tr_C(1 - r) equals 2(N + N*)
-    acc_tr = sum((ctx.complex_trace(r.element) for r in refl), Cyc.zero(m))
+    # (i)
+    acc_tr = sum((ctx.complex_trace(r.element) for r in refl), Cyc.zero(group.conductor))
     total = 2 * n * N - acc_tr.as_rational()
     if total != 2 * (N + Nstar):
         raise AssertionError(f"trace identity fails: {total} != {2 * (N + Nstar)}")
-    trace_verdict = "pass"
 
-    capped = enforce_caps and (
-        n > APPENDIX_N_CAP or ctx.group.order > APPENDIX_GAMMA_CAP)
-    if capped:
-        return AppendixReport(report, trace_verdict, "skipped(cap)", "skipped(cap)",
-                              "skipped(cap)", not report.irreducible)
-
-    alphas = [alpha_of(ctx, refl[h.reflection_ids[0]]) for h in planes]
-    norms = [hermitian_form(a, a).z1.as_rational() for a in alphas]
-
-    # (ii) f(v) = sum_H alpha_H (alpha_H, v) / (alpha_H, alpha_H) = (k/2) v
-    zero_q = Quaternion.zero(m)
-    half_k = Quaternion(Cyc.rational(k / 2, m), Cyc.zero(m))
+    # (ii)
+    b_at, a_through, _, sums = _tallies(group, n, shapes)
     failure = ""
-    for i in range(n):
-        acc = [zero_q] * n
-        for alpha, nrm in zip(alphas, norms):
-            # (alpha_H, e_i) = conj(alpha_H[i])
-            coef = alpha[i].conj()
-            scale = Fraction(1, 1) / nrm
-            for p in range(n):
-                acc[p] = acc[p] + (alpha[p] * coef) * scale
-        if any(acc[p] != (half_k if p == i else zero_q) for p in range(n)):
-            failure = "f-operator identity fails"
-            break
+    if any(b_at[i] + Fraction(a_through[i], 2) != k / 2 for i in range(n)):
+        failure = "f-operator identity fails on the diagonal"
+    elif any(not x.is_zero() for mat in sums.values() for x in mat):
+        failure = "f-operator identity fails off the diagonal"
     f_verdict = verdict(failure)
 
-    # (iii) 2 sum_K |(alpha_K, alpha_H)|^2 / ((alpha_K,alpha_K)(alpha_H,alpha_H)) = k;
-    # the term is symmetric in H and K, so each unordered pair is paired once
-    sums = [Cyc.zero(m)] * Nstar
-    for a, b in itertools.combinations_with_replacement(range(Nstar), 2):
-        # |(alpha_K, alpha_H)|^2 is real but not always rational
-        val = hermitian_form(alphas[a], alphas[b]).norm() / (norms[a] * norms[b])
-        sums[a] = sums[a] + val
-        if a != b:
-            sums[b] = sums[b] + val
-    failure = next((f"pairing sum fails for a hyperplane: {2 * s} != {k}"
-                    for s in sums if 2 * s != k), "")
+    # (iii)
+    failure = next((f"pairing sum fails for a hyperplane: {2 * t} != {k}"
+                    for t in _pairing_sums(group, n, shapes) if 2 * t != k), "")
     pairing_verdict = verdict(failure)
 
-    # (iv) |A^H| = N* + 1 - k for every H; the key of H cap K is computed
-    # once per unordered pair and counted for both H and K
-    rows = [tuple(q.conj() for q in alpha) for alpha in alphas]
-    keys: list[set[tuple]] = [set() for _ in alphas]
+    # (iv): the key of H cap K is computed once per unordered pair
+    meets: list[set[tuple[int, ...]]] = [set() for _ in shapes]
     for a, b in itertools.combinations(range(Nstar), 2):
-        key = quat_rref_key((rows[a], rows[b]))
-        keys[a].add(key)
-        keys[b].add(key)
+        key = _meet_key(group, shapes[a], shapes[b])
+        meets[a].add(key)
+        meets[b].add(key)
     failure = next((f"|A^H| = {len(ks)} != N* + 1 - k = {Nstar + 1 - k}"
-                    for ks in keys if len(ks) != Nstar + 1 - k), "")
+                    for ks in meets if len(ks) != Nstar + 1 - k), "")
     k_verdict = verdict(failure)
 
-    return AppendixReport(report, trace_verdict, f_verdict, pairing_verdict, k_verdict,
+    return AppendixReport(report, "pass", f_verdict, pairing_verdict, k_verdict,
                           not report.irreducible)
+
+
+def _tallies(group: FiniteGroup, n: int, shapes: list[Reflection]) -> tuple:
+    """Per coordinate, #type-b at it and #type-a through it; per pair {p, q}
+    that carries a type-a hyperplane, #type-a on it and S_pq."""
+    b_at, a_through = [0] * n, [0] * n
+    a_on: dict[tuple[int, int], int] = {}
+    sums: dict[tuple[int, int], tuple[Cyc, ...]] = {}
+    for s in shapes:
+        if s.kind == "b":
+            b_at[s.p] += 1
+            continue
+        a_through[s.p] += 1
+        a_through[s.q] += 1
+        pair = (s.p, s.q)
+        a_on[pair] = a_on.get(pair, 0) + 1
+        mat = group.elements[s.gamma]
+        sums[pair] = tuple(x + y for x, y in zip(sums[pair], mat)) if pair in sums else mat
+    return b_at, a_through, a_on, sums
+
+
+def _pairing_sums(group: FiniteGroup, n: int, shapes: list[Reflection]) -> list:
+    """sum_K t(H, K) over the hyperplanes K of the shapes, for each H, with
+    t(H, K) = |(alpha_K, alpha_H)|^2 / ((alpha_K, alpha_K)(alpha_H, alpha_H)):
+    - 1 for K = H;
+    - 1/2 for a type-b and a type-a hyperplane that share a coordinate, and
+      1/4 for two type-a ones that share exactly one: the one product left
+      in (alpha_K, alpha_H) is a unit;
+    - (2 + tr(delta gamma^-1))/4 for (p, q, gamma) and (p, q, delta), as
+      (alpha_K, alpha_H) = 1 + delta gamma^-1 has norm 2 + 2 Re(delta gamma^-1);
+    - 0 for hyperplanes on disjoint coordinates.
+    By linearity of the trace the terms of the same pair sum to
+    (2 #type-a on {p, q} + tr(S_pq gamma^-1))/4.
+    """
+    b_at, a_through, a_on, sums = _tallies(group, n, shapes)
+    out = []
+    for s in shapes:
+        if s.kind == "b":
+            out.append(1 + Fraction(a_through[s.p], 2))
+            continue
+        pair = (s.p, s.q)
+        # tr(S_pq gamma^-1) = sum_ij (S_pq)_ij conj(gamma_ij), as gamma^-1 = gamma^*
+        trace = sum(x * y.conj() for x, y in zip(sums[pair], group.elements[s.gamma]))
+        out.append((trace + 2 * a_on[pair]) * Fraction(1, 4) + Fraction(b_at[s.p] + b_at[s.q], 2)
+                   + Fraction(a_through[s.p] + a_through[s.q] - 2 * a_on[pair], 4))
+    return out
+
+
+def _meet_key(group: FiniteGroup, h: Reflection, k: Reflection) -> tuple[int, ...]:
+    """An integer key of the flat H cap K of two distinct hyperplanes, each
+    given by the shape of one of its reflections; the kinds of flat are
+    listed in ``appendix_report``."""
+    if h.kind == "b" and k.kind == "b":
+        return (0, min(h.p, k.p), max(h.p, k.p))
+    if k.kind == "b":
+        h, k = k, h
+    if h.kind == "b":
+        return (0, k.p, k.q) if h.p in (k.p, k.q) else (1, h.p, k.p, k.q, k.gamma)
+    if (h.p, h.q) == (k.p, k.q):
+        return (0, h.p, h.q)
+    if not {h.p, h.q} & {k.p, k.q}:
+        eqs = sorted([(h.p, h.q, h.gamma), (k.p, k.q, k.gamma)])
+        return (2, *eqs[0], *eqs[1])
+    coef = {max(h.q, k.q): 0}  # x_i = coef[i] x_w, as group elements
+    while len(coef) < 3:
+        for e in (h, k):
+            if e.q in coef and e.p not in coef:
+                coef[e.p] = group.mult[e.gamma][coef[e.q]]             # x_p = gamma x_q
+            elif e.p in coef and e.q not in coef:
+                coef[e.q] = group.mult[group.inv[e.gamma]][coef[e.p]]  # x_q = gamma^-1 x_p
+    u, v, w = sorted(coef)
+    return (3, u, v, w, coef[u], coef[v])

@@ -12,7 +12,14 @@ construction of ``wreath.hyperplanes`` by shape replaced.
 ``stability_search_is_irreducible`` is the search for a W-stable hyperplane
 or total intersection of the arrangement that the closed form of
 ``wreath.module_is_irreducible`` replaced; ``row_times`` moves its equation
-rows by monomial shape.
+rows by monomial shape.  ``quaternionic_appendix_identities`` is the exact
+quaternionic computation of the appendix identities (ii)-(iv) that reading
+them off the hyperplanes' shapes in ``wreath.appendix_report`` replaced,
+with ``quaternionic_pairing_sums`` for (iii).  It and the other
+quaternionic oracles use ``quaternion_basis``,
+``quat_from_matrix``, ``hermitian_form``, ``unit_quaternions`` and
+``alpha_of``, the normal of a reflection's hyperplane;
+``monomial_elements`` lists every element of W.
 
 ``bd_table``, ``bt_table``, ``bo_table`` and ``bi_table`` are the
 closed-form and stored character tables that the McKay sieve replaced;
@@ -21,10 +28,13 @@ table.  ``pairwise_maximal`` is the O(c^2) maximality filter that
 ``mckay._maximal`` replaced.  ``columns_are_orthogonal`` is the column
 half of the table check, which row orthonormality of a square table implies.
 
-``alpha_string_positive_roots`` grows the positive roots by the length of
-each alpha-string, where ``mckay.root_context`` adds alpha_i exactly when
-(alpha, alpha_i) = -1; ``prime_retry_generic_on_hyperplane`` is the search
-over ten primes and quadratic candidates that the explicit construction of
+``sigma_c`` is the minimal set of the roots that pair to zero with c, found
+by ``all_roots_with_pairing_zero``: the re-check that the integer bound in
+``mckay.generic_on_hyperplane`` replaced.  ``alpha_string_positive_roots``
+grows the positive roots by the length of each alpha-string, where
+``mckay.root_context`` adds alpha_i exactly when (alpha, alpha_i) = -1;
+``prime_retry_generic_on_hyperplane`` is the search over ten primes and
+quadratic candidates that the explicit construction of
 ``mckay.generic_on_hyperplane`` replaced.
 
 ``generated_subgroup`` closes seeds under products and inverses;
@@ -50,8 +60,10 @@ replaces it there counts the call.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from zerofiber import invariants, linalg
@@ -61,10 +73,11 @@ from zerofiber.groebner import GroebnerBasis, buchberger
 from zerofiber.groups import FiniteGroup, GroupSpec, build_group
 from zerofiber.invariants import fundamental_invariants, reynolds_many
 from zerofiber.linalg import CycMatrix, quat_row_key, quat_rref_key
-from zerofiber.mckay import McKayGraph, RootContext, dot
+from zerofiber.mckay import McKayGraph, RootContext, Vector, _idot, dot
 from zerofiber.poly2 import Poly2
 from zerofiber.quaternion import Quaternion
-from zerofiber.wreath import MonomialElement, Reflection, WreathContext, alpha_of
+from zerofiber.wreath import (MonomialElement, Reflection, WreathContext, hyperplanes,
+                              numerology_report, reflections)
 
 
 def mat_mul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -130,6 +143,132 @@ def kernel_basis(mat: CycMatrix) -> list[tuple[Cyc, ...]]:
     return basis
 
 
+# -- quaternions and the wreath group ------------------------------------------
+
+def quaternion_basis(name: str, m: int = 4) -> Quaternion:
+    """One of 1, i, j, k at a conductor divisible by 4 (for i and k)."""
+    if name == "1":
+        return Quaternion.one(m)
+    if name == "i":
+        return Quaternion(Cyc.zeta(m, m // 4), Cyc.zero(m))
+    if name == "j":
+        return Quaternion(Cyc.zero(m), Cyc.one(m))
+    if name == "k":
+        # k = ij = j * (-i)
+        return Quaternion(Cyc.zero(m), -Cyc.zeta(m, m // 4))
+    raise ValueError(f"unknown basis quaternion {name!r}")
+
+
+def quat_from_matrix(mat: tuple[Cyc, Cyc, Cyc, Cyc]) -> Quaternion:
+    """Convert an SU(2)-form matrix [[a, b], [c, d]] (b = -conj c, d = conj a)."""
+    a, b, c, d = mat
+    if d != a.conj() or b != -c.conj():
+        raise ValueError("matrix is not in SU(2) normal form")
+    return Quaternion(a, c)
+
+
+def hermitian_form(x: tuple[Quaternion, ...], y: tuple[Quaternion, ...]) -> Quaternion:
+    """(x, y) = sum_p conj(x_p) y_p, H-valued."""
+    if len(x) != len(y):
+        raise ValueError("length mismatch")
+    m = x[0].z1.m if x else 1
+    acc = Quaternion.zero(m)
+    for xp, yp in zip(x, y):
+        acc = acc + xp.conj() * yp
+    return acc
+
+
+# id(group) -> (group, its unit quaternions); holding the group keeps its id unique
+_UNIT_QUATERNIONS: dict[int, tuple[FiniteGroup, tuple[Quaternion, ...]]] = {}
+
+
+def unit_quaternions(group: FiniteGroup) -> tuple[Quaternion, ...]:
+    """The unit quaternion of each element of Gamma, by element index."""
+    hit = _UNIT_QUATERNIONS.get(id(group))
+    if hit is None:
+        hit = _UNIT_QUATERNIONS[id(group)] = (
+            group, tuple(quat_from_matrix(mat) for mat in group.elements))
+    return hit[1]
+
+
+def monomial_elements(ctx: WreathContext) -> Iterator[MonomialElement]:
+    """Every element of W, in the order of ``WreathContext.raw_elements``."""
+    for w, gammas in ctx.raw_elements():
+        yield MonomialElement(w, gammas)
+
+
+def alpha_of(ctx: WreathContext, r: Reflection) -> tuple[Quaternion, ...]:
+    """The normal of the hyperplane that r fixes, with its first nonzero
+    coordinate 1: e_p for type b, and e_p - e_q gamma^{-1} for type a, whose
+    hyperplane is x_p = gamma x_q."""
+    m = ctx.group.conductor
+    alpha = [Quaternion.zero(m)] * ctx.n
+    alpha[r.p] = Quaternion.one(m)
+    if r.kind == "a":
+        # -gamma^{-1} for unit gamma
+        alpha[r.q] = -unit_quaternions(ctx.group)[r.gamma].conj()
+    return tuple(alpha)
+
+
+def quaternionic_pairing_sums(alphas: list[tuple[Quaternion, ...]]) -> list[Cyc]:
+    """sum_K |(alpha_K, alpha_H)|^2 / ((alpha_K, alpha_K)(alpha_H, alpha_H))
+    over the given normals, for each H.  The term is symmetric in H and K,
+    so each unordered pair is paired once."""
+    norms = [hermitian_form(a, a).z1.as_rational() for a in alphas]
+    sums = [0] * len(alphas)
+    for a, b in itertools.combinations_with_replacement(range(len(alphas)), 2):
+        # |(alpha_K, alpha_H)|^2 is real but not always rational
+        val = hermitian_form(alphas[a], alphas[b]).norm() / (norms[a] * norms[b])
+        sums[a] = sums[a] + val
+        if a != b:
+            sums[b] = sums[b] + val
+    return sums
+
+
+def quaternionic_appendix_identities(ctx: WreathContext) -> tuple[bool, bool, bool]:
+    """Whether the appendix identities (ii), (iii) and (iv) hold, by exact
+    quaternionic computation on the hyperplanes' normals: the O(N*^2)
+    computation that reading them off the shapes in
+    ``wreath.appendix_report`` replaced.  (iv) calls
+    ``linalg.quat_rref_key`` through the module, so that a test that
+    replaces it there counts the calls."""
+    refl = reflections(ctx)
+    planes = hyperplanes(ctx, refl)
+    n, m, nstar = ctx.n, ctx.group.conductor, len(planes)
+    k = numerology_report(ctx, refl, planes).k
+    alphas = [alpha_of(ctx, refl[h.reflection_ids[0]]) for h in planes]
+    norms = [hermitian_form(a, a).z1.as_rational() for a in alphas]
+
+    # (ii) f(v) = sum_H alpha_H (alpha_H, v) / (alpha_H, alpha_H) = (k/2) v
+    zero_q = Quaternion.zero(m)
+    half_k = Quaternion(Cyc.rational(k / 2, m), Cyc.zero(m))
+    f_holds = True
+    for i in range(n):
+        acc = [zero_q] * n
+        for alpha, nrm in zip(alphas, norms):
+            # (alpha_H, e_i) = conj(alpha_H[i])
+            coef = alpha[i].conj()
+            for p in range(n):
+                acc[p] = acc[p] + (alpha[p] * coef) * (1 / nrm)
+        if any(acc[p] != (half_k if p == i else zero_q) for p in range(n)):
+            f_holds = False
+            break
+
+    # (iii) 2 sum_K |(alpha_K, alpha_H)|^2 / ((alpha_K,alpha_K)(alpha_H,alpha_H)) = k
+    pairing_holds = all(2 * s == k for s in quaternionic_pairing_sums(alphas))
+
+    # (iv) |A^H| = N* + 1 - k for every H, with H cap K keyed by the RREF of
+    # the two equation rows
+    rows = [tuple(q.conj() for q in alpha) for alpha in alphas]
+    keys: list[set[tuple]] = [set() for _ in alphas]
+    for a, b in itertools.combinations(range(nstar), 2):
+        key = linalg.quat_rref_key((rows[a], rows[b]))
+        keys[a].add(key)
+        keys[b].add(key)
+    k_holds = all(len(ks) == nstar + 1 - k for ks in keys)
+    return f_holds, pairing_holds, k_holds
+
+
 def structural_fix_codim(ctx: WreathContext, el: MonomialElement) -> int:
     """Quaternionic codimension of fix(el) from the cycle structure:
     each cycle contributes length - (1 if its gamma-product is 1)."""
@@ -169,7 +308,7 @@ def quaternion_matrix(ctx: WreathContext, el: MonomialElement) -> tuple[tuple[Qu
     """The n x n quaternion matrix of a monomial element."""
     n = ctx.n
     zero = Quaternion.zero(ctx.group.conductor)
-    quats = ctx.unit_quaternions
+    quats = unit_quaternions(ctx.group)
     rows = []
     for i in range(n):
         row = [zero] * n
@@ -202,7 +341,7 @@ def row_times(ctx: WreathContext, row: tuple[Quaternion, ...],
     """row times the quaternion matrix of el, from the monomial shape:
     column j of that matrix has the single entry q(gamma_{w(j)}), in
     row w(j)."""
-    quats = ctx.unit_quaternions
+    quats = unit_quaternions(ctx.group)
     out = []
     for j in range(ctx.n):
         i = el.perm[j]
@@ -576,6 +715,47 @@ def alpha_string_positive_roots(graph: McKayGraph) -> tuple[tuple[int, ...], ...
                         nxt.add(up)
         frontier = nxt
     return tuple(sorted(roots))
+
+
+def cleared(c: tuple[Fraction, ...]) -> tuple[Vector, int]:
+    """(C, L) with L the lcm of c's denominators and C = L*c integral."""
+    lcd = lcm(*(ci.denominator for ci in c))
+    return tuple(ci.numerator * (lcd // ci.denominator) for ci in c), lcd
+
+
+def all_roots_with_pairing_zero(ctx: RootContext, c: tuple[Fraction, ...]) -> list[Vector]:
+    """All positive real roots n*delta + beta with (n delta + beta) . c = 0.
+
+    Requires c . delta != 0 so the search is finite.  With C = L*c integral,
+    the real root n delta + s beta (beta a finite positive root, s = +-1) pairs
+    to zero with c exactly when n = -s (C.beta) / (C.delta); it is positive
+    when n > 0, or n = 0 and s = +1.  Solving for n gives every solution of
+    the scan over n <= max|c.beta| / |c.delta| + 1, since that bound holds
+    for each of them.
+    """
+    big_c, _ = cleared(c)
+    delta = ctx.delta
+    cd = _idot(big_c, delta)
+    if cd == 0:
+        raise ValueError("c . delta = 0 gives an infinite root search")
+    out = []
+    for beta in ctx.positive_roots:
+        cb = _idot(big_c, beta)
+        for s in (1, -1):
+            nn, r = divmod(-s * cb, cd)
+            if r == 0 and (nn > 0 or (nn == 0 and s == 1)):
+                out.append(tuple(nn * d + s * b for d, b in zip(delta, beta)))
+    return sorted(set(out))
+
+
+def sigma_c(ctx: RootContext, c: tuple[Fraction, ...]) -> tuple[Vector, ...]:
+    """Minimal positive elements of R_c under the coefficientwise order."""
+    rc = all_roots_with_pairing_zero(ctx, c)
+    minimal = []
+    for a in rc:
+        if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in rc):
+            minimal.append(a)
+    return tuple(sorted(minimal))
 
 
 def prime_retry_generic_on_hyperplane(ctx: RootContext, alpha) -> tuple[Fraction, ...]:

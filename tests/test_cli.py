@@ -69,6 +69,40 @@ def test_oversized_conductor_is_rejected_before_the_group_is_built(capsys, monke
     assert "cyclic:10001" in capsys.readouterr().err
 
 
+def test_appendix_prints_the_verdicts_as_json(capsys):
+    assert main(["appendix", "bi", "whole", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["gamma"], out["delta"], out["n"]) == ("bi", "whole", 3)
+    assert (out["N"], out["Nstar"], out["k"], out["irreducible"]) == (717, 363, "242", True)
+    assert out["verdicts"] == {"trace_identity": "pass", "f_operator": "pass",
+                               "pairing_sum": "pass", "k_identity": "pass"}
+    seconds = out["stage_seconds"]
+    assert list(seconds) == ["reflections", "hyperplanes", "irreducibility", "identities"]
+    assert all(s >= 0 for s in seconds.values())
+
+
+def test_appendix_of_a_reducible_module(capsys):
+    assert main(["appendix", "cyclic:1", "comm", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["irreducible"] is False
+    assert out["verdicts"] == {"trace_identity": "pass", "f_operator": "fail(reducible)",
+                               "pairing_sum": "fail(reducible)",
+                               "k_identity": "fail(reducible)"}
+
+
+@pytest.mark.parametrize("argv", [["appendix", "bt", "nosuch", "2"],
+                                  ["appendix", "cyclic:0", "whole", "2"],
+                                  ["appendix", "bt", "whole", "0"],
+                                  ["appendix", "bt", "gens:1,x", "2"]])
+def test_appendix_rejects_bad_input_with_the_report_prefix(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"zerofiber: error: appendix {' '.join(argv[1:])}: " in err
+    assert "invalid literal" not in err
+
+
 def test_ledger_prints_the_zero_fibre_and_its_certificates(capsys):
     assert main(["ledger", "bi"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from zerofiber.cyclotomic import Cyc, euler_phi
-from oracles import identity, kernel_basis, mat_mul, quat_matrix_embed, rref
+from oracles import identity, kernel_basis, mat_mul, quat_matrix_embed, quaternion_basis, rref
 from zerofiber.linalg import CycMatrix, quat_row_key, quat_rref_key, rank
 from zerofiber.quaternion import Quaternion
 
@@ -194,7 +194,7 @@ def test_quat_rank_matches_direct_elimination():
 
 def test_quat_rref_key_detects_equal_row_spaces():
     one4 = Quaternion.one(4)
-    i = Quaternion.basis("i", 4)
+    i = quaternion_basis("i", 4)
     zero = Quaternion.zero(4)
     rows1 = ((one4, i), (zero, zero))
     rows2 = ((i, i * i),)  # i * (1, i)

@@ -1,16 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import (alpha_string_positive_roots, pairwise_maximal, power,
-                     prime_retry_generic_on_hyperplane)
+from oracles import (all_roots_with_pairing_zero, alpha_string_positive_roots, cleared,
+                     pairwise_maximal, power, prime_retry_generic_on_hyperplane, sigma_c)
 from zerofiber import characters, mckay
 from zerofiber.characters import ClassFunction, character_table
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
 from zerofiber.mckay import (
     admissible_alpha,
-    all_roots_with_pairing_zero,
     character_of_L,
     dimension_bound_check,
     dot,
@@ -18,7 +18,6 @@ from zerofiber.mckay import (
     generic_on_hyperplane,
     mckay_graph,
     root_context,
-    sigma_c,
     vector_dim,
 )
 
@@ -301,18 +300,32 @@ def test_roots_with_pairing_zero_match_the_scan(spec):
 
 @pytest.mark.parametrize("spec", ["cyclic:30", "bd:12", "bt", "bo", "bi"])
 def test_generic_on_hyperplane_certifies_every_root(spec):
-    """Sigma_c = {alpha} is certified inside generic_on_hyperplane on every
-    finite positive root (435 for A29(1)), and the bound of its proof holds:
-    0 < |c.beta| < 1 for every other finite positive root beta, read off the
-    integral L*c with L the lcm of c's denominators."""
+    """On every finite positive root (435 for A29(1)), the c that
+    generic_on_hyperplane certifies by its integer bound has Sigma_c = {alpha}
+    by the root search, and the bound holds: 0 < |c.beta| < 1 for every other
+    finite positive root beta, read off the integral L*c with L the lcm of
+    c's denominators."""
     ctx = root_context(S(spec))
     for alpha in ctx.positive_roots:
         c = generic_on_hyperplane(ctx, alpha)
         assert dot(c, alpha) == 0
         assert dot(c, ctx.delta) == 1
-        big_c, lcd = mckay._cleared(c)
+        assert sigma_c(ctx, c) == (alpha,)
+        big_c, lcd = cleared(c)
         assert all(0 < abs(mckay._idot(big_c, beta)) < lcd
                    for beta in ctx.positive_roots if beta != alpha)
+
+
+def test_generic_on_hyperplane_rejects_a_c_outside_the_bound():
+    """The integer certificate raises when another vector of the root list
+    pairs to an integer with c: here 2 alpha, appended to the list, pairs
+    to 0."""
+    ctx = root_context(S("cyclic:3"))
+    alpha = ctx.phi
+    doubled = tuple(2 * a for a in alpha)
+    broken = dataclasses.replace(ctx, positive_roots=ctx.positive_roots + (doubled,))
+    with pytest.raises(AssertionError, match="Sigma_c"):
+        generic_on_hyperplane(broken, alpha)
 
 
 ROOT_SPECS = [f"cyclic:{ell}" for ell in range(2, 31)] + [f"bd:{n}" for n in range(1, 16)] + [

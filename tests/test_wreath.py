@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import (identity, key_bucketed_hyperplanes, mat_mul, quat_matrix_embed,
-                     quaternion_matrix, row_times, rref, stability_search_is_irreducible,
-                     structural_fix_codim)
+from oracles import (alpha_of, identity, key_bucketed_hyperplanes, mat_mul, monomial_elements,
+                     quat_matrix_embed, quaternion_matrix, quaternionic_appendix_identities,
+                     quaternionic_pairing_sums, row_times, rref,
+                     stability_search_is_irreducible, structural_fix_codim)
 from test_linalg import column_rref_key, rand_quat
-from zerofiber import wreath
+from zerofiber import linalg, wreath
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
 from zerofiber.linalg import quat_row_key
@@ -16,7 +18,6 @@ from zerofiber.wreath import (
     MonomialElement,
     Reflection,
     WreathContext,
-    alpha_of,
     appendix_checks,
     hyperplanes,
     module_is_irreducible,
@@ -30,7 +31,8 @@ CATALOGUE = (
     + ["bt", "bo", "bi"]
 )
 SCAN_ORDER_CAP = 100_000
-# uncapped appendix_checks in the catalogue sweep: about 3 s for the |W| <= 500 cases
+# the quaternionic appendix oracle in the catalogue sweep: about 3 s for the
+# 110 cases with |W| <= 500
 APPENDIX_SWEEP_ORDER_CAP = 500
 
 
@@ -139,28 +141,11 @@ def test_complex_trace_matches_the_dense_trace():
     rng = random.Random(29)
     for gamma, delta, n in [("bd:3", "whole", 2), ("bt", "comm", 2), ("cyclic:5", "whole", 3)]:
         c = ctx_of(gamma, delta, n)
-        elements = [r.element for r in reflections(c)] + rng.sample(list(c.elements()), 40)
+        elements = [r.element for r in reflections(c)] + rng.sample(list(monomial_elements(c)), 40)
         for el in elements:
             emb = quat_matrix_embed(quaternion_matrix(c, el))
             dense = sum((emb[i][i] for i in range(2 * n)), Cyc.zero(c.group.conductor))
             assert c.complex_trace(el) == dense
-
-
-def test_pairing_sum_pairs_each_unordered_pair_once(monkeypatch):
-    calls = []
-    original = wreath.hermitian_form
-
-    def counted(a, b):
-        calls.append(1)
-        return original(a, b)
-
-    monkeypatch.setattr(wreath, "hermitian_form", counted)
-    c = ctx_of("bd:2", "whole", 2)
-    rep = appendix_checks(c, enforce_caps=False)
-    assert rep.pairing_sum == "pass"
-    nstar = rep.numerology.Nstar
-    # one norm per hyperplane for (ii), then one pairing per unordered pair
-    assert len(calls) == nstar + nstar * (nstar + 1) // 2
 
 
 def test_wreath_orders():
@@ -169,7 +154,7 @@ def test_wreath_orders():
     # W_1(Gamma, Delta) = Delta
     c = ctx_of("bd:3", "comm", 1)
     assert c.order == 3
-    assert sorted(e.gammas[0] for e in c.elements()) == sorted(c.sub.indices)
+    assert sorted(e.gammas[0] for e in monomial_elements(c)) == sorted(c.sub.indices)
 
 
 def test_iterator_counts_match_formula():
@@ -194,7 +179,7 @@ def test_structural_codim_equals_kernel_codim_bruteforce():
                             ("cyclic:3", "whole", 3), ("bd:2", "cyc2", 2),
                             ("bt", "comm", 2), ("cyclic:5", "whole", 3), ("bt", "whole", 2)]:
         c = ctx_of(gamma, delta, n)
-        for el in c.elements():
+        for el in monomial_elements(c):
             assert (2 * structural_fix_codim(c, el) == c.complex_codim_of_fix(el)
                     == dense_codim_of_fix(c, el))
 
@@ -204,7 +189,7 @@ def test_row_times_equals_the_dense_product():
     for gamma, delta, n in [("bd:3", "whole", 3), ("bt", "comm", 2), ("cyclic:5", "whole", 4)]:
         c = ctx_of(gamma, delta, n)
         m = c.group.conductor
-        elements = list(c.elements())
+        elements = list(monomial_elements(c))
         for _ in range(60):
             el = rng.choice(elements)
             row = tuple(rand_quat(rng, m, 0.3) for _ in range(n))
@@ -364,10 +349,11 @@ def test_appendix_bd_and_bt():
         assert rep.k_identity == "pass"
 
 
-def test_appendix_cap_skips():
+def test_appendix_bi_whole_2_passes():
+    """|Gamma| = 120: 7,200 pairs of hyperplanes for (iv)."""
     rep = appendix_checks(ctx_of("bi", "whole", 2))
-    assert rep.trace_identity == "pass"
-    assert rep.f_operator == "skipped(cap)"
+    assert rep.numerology.Nstar == 122 and rep.numerology.k == 122
+    assert rep.trace_identity == rep.f_operator == rep.pairing_sum == rep.k_identity == "pass"
 
 
 @pytest.mark.parametrize("gamma", ["cyclic:5", "bd:4"])
@@ -383,8 +369,9 @@ def test_numerology_non_rational_pivot_norms(gamma):
     assert stability_search_is_irreducible(c, bucketed_normals(c))
 
 
-def test_appendix_uncapped_non_rational_pairings():
-    rep = appendix_checks(ctx_of("bd:4", "whole", 2), enforce_caps=False)
+def test_appendix_non_rational_pairings():
+    """The traces tr(delta gamma^-1) of bd:4 include +-sqrt 2."""
+    rep = appendix_checks(ctx_of("bd:4", "whole", 2))
     assert rep.trace_identity == rep.f_operator == rep.pairing_sum == rep.k_identity == "pass"
 
 
@@ -398,8 +385,8 @@ def test_numerology_catalogue_sweep(gamma, delta):
     """numerology on every catalogue (Gamma, Delta) at n = 1-3, with the
     dense kernel rank of every reflection, the hyperplanes against the
     key-bucketing oracle, the column-by-column RREF key of the arrangement
-    and of random subsets of it, and uncapped appendix checks where
-    |W| <= APPENDIX_SWEEP_ORDER_CAP."""
+    and of random subsets of it, and the appendix verdicts, which equal the
+    quaternionic oracle's where |W| <= APPENDIX_SWEEP_ORDER_CAP."""
     g = build_group(GroupSpec.parse(gamma))
     sub = resolve_subgroup(g, delta)
     G, D = g.order, sub.order
@@ -427,20 +414,21 @@ def test_numerology_catalogue_sweep(gamma, delta):
         subsets = [tuple(eqs)] + [tuple(rng.sample(eqs, rng.randint(1, min(len(eqs), n + 2))))
                                   for _ in range(10 if eqs else 0)]
         for rows in subsets:
-            assert wreath.quat_rref_key(rows) == column_rref_key(rows)
+            assert linalg.quat_rref_key(rows) == column_rref_key(rows)
 
+        app = appendix_checks(c)
+        # W_2(Z/2, 1) is reducible, yet its identities hold
+        v = "fail(reducible)" if gamma == "cyclic:1" and n >= 2 else "pass"
+        verdicts = (app.f_operator, app.pairing_sum, app.k_identity)
+        assert (app.trace_identity, *verdicts) == ("pass", v, v, v)
         if c.order <= APPENDIX_SWEEP_ORDER_CAP:
-            app = appendix_checks(c, enforce_caps=False)
-            # W_2(Z/2, 1) is reducible, yet its identities hold
-            v = "fail(reducible)" if gamma == "cyclic:1" and n >= 2 else "pass"
-            assert (app.trace_identity, app.f_operator, app.pairing_sum,
-                    app.k_identity) == ("pass", v, v, v)
+            assert quaternionic_appendix_identities(c) == tuple(x == "pass" for x in verdicts)
 
 
 @pytest.mark.parametrize("gamma,delta,n", [("cyclic:1", "whole", 2), ("cyclic:1", "comm", 2),
                                            ("cyclic:1", "whole", 3), ("cyclic:1", "comm", 3)])
 def test_appendix_on_a_reducible_module_reports_instead_of_raising(gamma, delta, n):
-    rep = appendix_checks(ctx_of(gamma, delta, n), enforce_caps=False)
+    rep = appendix_checks(ctx_of(gamma, delta, n))
     assert not rep.numerology.irreducible and rep.irreducibility_warning
     assert rep.trace_identity == "pass"
     assert rep.f_operator == rep.pairing_sum == rep.k_identity == "fail(reducible)"
@@ -450,7 +438,7 @@ def test_appendix_raises_when_an_irreducible_module_fails(monkeypatch):
     # claim irreducibility for W_2(1, 1) = S_2, whose identities (ii)-(iv) fail
     monkeypatch.setattr(wreath, "module_is_irreducible", lambda ctx: True)
     with pytest.raises(AssertionError, match="f-operator"):
-        appendix_checks(ctx_of("cyclic:1", "whole", 2), enforce_caps=False)
+        appendix_checks(ctx_of("cyclic:1", "whole", 2))
 
 
 def resolvable_subgroups(gamma: str) -> list:
@@ -482,10 +470,11 @@ def test_closed_form_irreducibility_equals_the_stability_search(gamma, ranks):
 
 
 def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
-    """A catalogue numerology sweep makes no quaternionic elimination and
-    forms no quaternion; both counters do see the appendix's."""
+    """numerology and appendix_checks on every catalogue (Gamma, Delta, n <= 3)
+    make no quaternionic elimination and form no quaternion; both counters
+    do see the quaternionic appendix oracle's."""
     eliminations, quaternions = [], []
-    real_key, real_init = wreath.quat_rref_key, Quaternion.__init__
+    real_key, real_init = linalg.quat_rref_key, Quaternion.__init__
 
     def counted_key(rows):
         eliminations.append(len(rows))
@@ -495,14 +484,86 @@ def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
         quaternions.append(1)
         real_init(self, z1, z2)
 
-    monkeypatch.setattr(wreath, "quat_rref_key", counted_key)
+    monkeypatch.setattr(linalg, "quat_rref_key", counted_key)
     monkeypatch.setattr(Quaternion, "__init__", counted_init)
     for gamma in CATALOGUE:
         g = build_group(GroupSpec.parse(gamma))
         for delta in deltas_of(gamma):
             sub = resolve_subgroup(g, delta)
             for n in (1, 2, 3):
-                numerology(WreathContext(g, sub, n))
+                c = WreathContext(g, sub, n)
+                numerology(c)
+                appendix_checks(c)
     assert (eliminations, quaternions) == ([], [])
-    appendix_checks(ctx_of("cyclic:2", "whole", 2), enforce_caps=False)
+    quaternionic_appendix_identities(ctx_of("cyclic:2", "whole", 2))
     assert eliminations and quaternions
+
+
+def meet_partition(pairs, key_of) -> set[frozenset]:
+    """The pairs grouped by the key of their meet."""
+    groups: dict = {}
+    for pair in pairs:
+        groups.setdefault(key_of(pair), set()).add(pair)
+    return {frozenset(v) for v in groups.values()}
+
+
+@pytest.mark.parametrize("gamma,delta,n", [
+    ("cyclic:2", "whole", 4), ("cyclic:3", "comm", 4), ("cyclic:1", "whole", 4),
+    ("bd:2", "cyc2", 3), ("bt", "whole", 2), ("cyclic:4", "whole", 3)])
+def test_meet_keys_group_pairs_as_the_quaternionic_row_space_does(gamma, delta, n):
+    """Two pairs of hyperplanes share an integer meet key exactly when their
+    two equation rows span the same quaternionic row space; n = 4 has type-a
+    hyperplanes on disjoint pairs."""
+    c = ctx_of(gamma, delta, n)
+    refl = reflections(c)
+    planes = hyperplanes(c, refl)
+    shapes = [refl[h.reflection_ids[0]] for h in planes]
+    rows = [tuple(q.conj() for q in alpha_of(c, r)) for r in shapes]
+    pairs = list(itertools.combinations(range(len(planes)), 2))
+    by_shape = meet_partition(pairs, lambda p: wreath._meet_key(c.group, shapes[p[0]],
+                                                                shapes[p[1]]))
+    by_rows = meet_partition(pairs, lambda p: linalg.quat_rref_key((rows[p[0]], rows[p[1]])))
+    assert by_shape == by_rows
+
+
+@pytest.mark.parametrize("gamma,delta,n", [
+    ("cyclic:2", "whole", 4), ("cyclic:2", "comm", 4), ("cyclic:3", "whole", 4),
+    ("bd:1", "whole", 4), ("cyclic:1", "whole", 4), ("cyclic:2", "whole", 5)])
+def test_appendix_beyond_rank_three_equals_the_oracle(gamma, delta, n):
+    c = ctx_of(gamma, delta, n)
+    app = appendix_checks(c)
+    verdicts = (app.f_operator, app.pairing_sum, app.k_identity)
+    assert quaternionic_appendix_identities(c) == tuple(x == "pass" for x in verdicts)
+    assert verdicts == (("pass",) * 3 if c.group.order > 1 else ("fail(reducible)",) * 3)
+
+
+@pytest.mark.parametrize("gamma,delta,n", [("bt", "whole", 2), ("bd:4", "cyc2", 3),
+                                           ("bo", "comm", 2), ("cyclic:5", "whole", 3)])
+def test_pairing_sums_on_subsets_equal_the_quaternionic_sums(gamma, delta, n):
+    """On random subsets of the hyperplanes every term of (iii) counts: the
+    group-matrix sums S_pq are neither 0 nor scalar, and the traces include
+    irrational ones (bd:4, bo, cyclic:5)."""
+    c = ctx_of(gamma, delta, n)
+    refl = reflections(c)
+    shapes = [refl[h.reflection_ids[0]] for h in hyperplanes(c, refl)]
+    rng = random.Random(f"{gamma} {delta} {n}")
+    for _ in range(5):
+        subset = rng.sample(shapes, rng.randint(1, min(len(shapes), 30)))
+        assert (wreath._pairing_sums(c.group, n, subset)
+                == quaternionic_pairing_sums([alpha_of(c, r) for r in subset]))
+
+
+def test_a_subgroup_of_another_group_is_rejected():
+    bo = build_group(GroupSpec.parse("bo"))
+    bt = build_group(GroupSpec.parse("bt"))
+    with pytest.raises(ValueError, match=r"Gamma bo, Delta 'comm', n = 2: subgroup 'comm' "
+                                         r"of bt is not a subgroup of bo"):
+        WreathContext(bo, resolve_subgroup(bt, "comm"), 2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_rank_below_one_is_rejected(n):
+    g = build_group(GroupSpec.parse("bt"))
+    with pytest.raises(ValueError, match=rf"Gamma bt, Delta 'whole', n = {n}: "
+                                         rf"n must be at least 1, got {n}"):
+        WreathContext(g, resolve_subgroup(g, "whole"), n)
