@@ -124,7 +124,9 @@ def linear_characters(group: FiniteGroup) -> list[ClassFunction]:
 
 
 def kernel_contains(group: FiniteGroup, chi: ClassFunction, sub: Subgroup) -> bool:
-    return all(value_at_element(group, chi, h) == 1 for h in sub.indices)
+    """chi = 1 on sub, checked once per class that meets sub: chi is a
+    class function, so its values there are its values on sub."""
+    return all(chi.values[c] == 1 for c in {group.class_of[h] for h in sub.indices})
 
 
 # -- full tables ---------------------------------------------------------------

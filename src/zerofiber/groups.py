@@ -2,23 +2,28 @@
 
 Catalogue: cyclic(l), binary dihedral bd(n) of order 4n, and the binary
 tetrahedral / octahedral / icosahedral groups, each built by breadth-first
-closure from the paper's generator matrices.  Every closure on element
-indices is one ``orbit``: the conjugacy classes, the subgroup generated by
-some elements and the commutator subgroup.  Subgroup resolution (whole /
+closure from the paper's generator matrices.  ``orbit`` is the package's one
+closure routine: a breadth-first search under a step function that gives
+each element's depth.  Here it closes element indices under list moves (the
+conjugacy classes, the subgroup generated by some elements and the
+commutator subgroup); ``mckay`` closes the positive roots under simple root
+steps and measures McKay distances with it.  Subgroup resolution (whole /
 commutator / index-2 cyclic / explicit generators) checks normality and the
 abelian quotient on the generators of the group alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
+from typing import TypeVar
 
 from .cyclotomic import CONDUCTOR_CAP, ConductorError, Cyc, sqrt5
 
 Mat2 = tuple[Cyc, Cyc, Cyc, Cyc]
+T = TypeVar("T")
 
 CLOSURE_CAP = 1000
 
@@ -184,25 +189,27 @@ class FiniteGroup:
         return [self.conjugate(g, h) for h in range(self.order)]
 
 
-def orbit(start: Iterable[int], moves: list[list[int]]) -> set[int]:
-    """The smallest set that holds ``start`` and is closed under every move,
-    each a list that sends x to move[x].
+def orbit(start: Iterable[T], step: Callable[[T], Iterable[T]]) -> dict[T, int]:
+    """Every element reachable from ``start`` by repeated steps, mapped to its
+    breadth-first depth: 0 on ``start``, and otherwise the fewest steps that
+    reach it.  ``step(x)`` gives the elements one move away from x.
 
-    In a finite group the maps x -> x s and x -> g x g^{-1} have finite
-    order, so closing under them also closes under their inverses: the
-    orbit of 1 under right multiplication by some elements is the subgroup
-    they generate, and the orbit of h under conjugation by generators of G
-    is the class of h.
+    The queue is read in the order it is filled, so the depths are those of
+    a breadth-first search.  In a finite group the maps x -> x s and
+    x -> g x g^{-1} have finite order, so closing under them also closes
+    under their inverses: the orbit of 1 under right multiplication by some
+    elements is the subgroup they generate, and the orbit of h under
+    conjugation by generators of G is the class of h.
     """
-    seen = set(start)
-    todo = list(seen)
-    while todo:
-        x = todo.pop()
-        for move in moves:
-            if (y := move[x]) not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
+    depth = dict.fromkeys(start, 0)
+    queue = list(depth)
+    for x in queue:  # the loop also reads what it appends
+        d = depth[x] + 1
+        for y in step(x):
+            if y not in depth:
+                depth[y] = d
+                queue.append(y)
+    return depth
 
 
 def close(generators: list[Mat2], cap: int = CLOSURE_CAP,
@@ -271,7 +278,7 @@ def close(generators: list[Mat2], cap: int = CLOSURE_CAP,
     for h in range(n):
         if class_of[h] >= 0:
             continue
-        cls = tuple(sorted(orbit((h,), conj)))
+        cls = tuple(sorted(orbit((h,), lambda x: [c[x] for c in conj])))
         cid = len(classes)
         for e in cls:
             class_of[e] = cid
@@ -313,7 +320,8 @@ class Subgroup:
 def close_indices(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
     """The subgroup generated by ``seeds``: the orbit of 1 under right
     multiplication by them (see ``orbit``)."""
-    return tuple(sorted(orbit((0,), [group.right_map(s) for s in seeds])))
+    moves = [group.right_map(s) for s in seeds]
+    return tuple(sorted(orbit((0,), lambda x: [r[x] for r in moves])))
 
 
 def commutator_subgroup(group: FiniteGroup) -> tuple[int, ...]:
@@ -331,7 +339,7 @@ def commutator_subgroup(group: FiniteGroup) -> tuple[int, ...]:
     gens = group.gen_indices
     comms = {group.commutator(a, b) for a in gens for b in gens}
     moves = [group.right_map(c) for c in comms] + [group.conjugation_map(g) for g in gens]
-    return tuple(sorted(orbit((0,), moves)))
+    return tuple(sorted(orbit((0,), lambda x: [r[x] for r in moves])))
 
 
 def _verify_subgroup(group: FiniteGroup, name: str, indices: tuple[int, ...]) -> Subgroup:

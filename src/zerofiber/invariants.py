@@ -18,7 +18,7 @@ from typing import NamedTuple, NoReturn
 
 from .cyclotomic import Cyc
 from .groebner import GroebnerBasis, buchberger
-from .groups import FiniteGroup, GroupSpec, build_group
+from .groups import FiniteGroup, GroupSpec, build_group, close_indices
 from .poly2 import Poly2, act, from_int_terms, linear_form_powers
 
 
@@ -87,12 +87,7 @@ def reynolds_many(group: FiniteGroup, polys: list[Poly2]) -> list[Poly2]:
     """
     w1 = group.gen_indices[0]
     g1 = group.elements[w1]
-    csub = {0}
-    if g1[1].is_zero() and g1[2].is_zero():
-        cur = w1
-        while cur != 0:
-            csub.add(cur)
-            cur = group.mult[cur][w1]
+    csub = close_indices(group, [w1]) if g1[1].is_zero() and g1[2].is_zero() else (0,)
     ord_u = len(csub)
     sums = {m: Poly2.zero() for p in polys for m in p.terms if (m[1] - m[0]) % ord_u == 0}
     if not sums:

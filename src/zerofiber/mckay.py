@@ -15,7 +15,7 @@ from operator import mul
 
 from .characters import (ClassFunction, character_table, defining_character, inner_product,
                          kernel_contains)
-from .groups import FiniteGroup, GroupSpec, Subgroup, build_group
+from .groups import FiniteGroup, GroupSpec, Subgroup, build_group, orbit
 
 Vector = tuple[int, ...]
 
@@ -40,19 +40,10 @@ class McKayGraph:
         )
 
     def distance_from_zero(self) -> list[int]:
-        n = self.size
-        dist = [-1] * n
-        dist[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in range(n):
-                    if self.adjacency[v][w] and dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+        """Graph distance of each vertex from vertex 0, -1 where unreached:
+        the depths of the orbit of 0 under adjacency."""
+        depth = orbit((0,), lambda v: [w for w, m in enumerate(self.adjacency[v]) if m])
+        return [depth.get(v, -1) for v in range(self.size)]
 
 
 def _identify_affine_type(adj, dims) -> str:
@@ -89,40 +80,44 @@ def _identify_affine_type(adj, dims) -> str:
 
 def mckay_multiplicities(group: FiniteGroup,
                          chars: tuple[ClassFunction, ...]) -> tuple[tuple[int, ...], ...]:
-    """The matrix m_ij = <chi_i * chi_V, chi_j> of McKay multiplicities.
+    """The matrix m_ij = <chi_i * chi_V, chi_j> of McKay multiplicities,
+    symmetric by proof, so only the entries i <= j are computed.
 
-    Raises ``AssertionError`` on an entry that is negative or not an integer.
+    chi_V is real, as the trace of an SU(2) matrix is a + conj(a).  Then
+    m_ji = (1/|G|) sum_g chi_j(g) chi_V(g) conj(chi_i(g)) is the complex
+    conjugate of m_ij, which equals m_ij once m_ij is certified a
+    non-negative integer.  The reality of chi_V is checked on its k class
+    values.  Raises ``AssertionError`` when chi_V is not real and on an entry
+    that is negative or not an integer.
     """
     chi_v = defining_character(group)
-    rows = []
-    for chi in chars:
+    if chi_v.conj() != chi_v:
+        raise AssertionError(f"defining character of {group.spec} is not real")
+    k = len(chars)
+    rows = [[0] * k for _ in range(k)]
+    for i, chi in enumerate(chars):
         prod = chi * chi_v
-        row = []
-        for psi in chars:
-            mult = inner_product(group, prod, psi)
+        for j in range(i, k):
+            mult = inner_product(group, prod, chars[j])
             if mult.denominator != 1 or mult < 0:
                 raise AssertionError("non-integral McKay multiplicity")
-            row.append(int(mult))
-        rows.append(tuple(row))
-    return tuple(rows)
+            rows[i][j] = rows[j][i] = int(mult)
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
 def mckay_graph(spec: GroupSpec) -> McKayGraph:
     """The McKay graph of a catalogue group.  Its multiplicities are the
-    only McKay matrix of the spec: they are certified integral, non-negative
-    and symmetric here, not when the table is built."""
+    only McKay matrix of the spec, certified here and not when the table is
+    built: ``mckay_multiplicities`` checks each entry a non-negative integer,
+    and the matrix is symmetric because chi_V is real, so that
+    m_ji = conj(m_ij) = m_ij (proof there).  The degree sum |G| is left to
+    ``validate_table``, which ``character_table`` runs on the same table."""
     group = build_group(spec)
     chars = character_table(spec)
     n = len(chars)
     adj = mckay_multiplicities(group, chars)
-    for i in range(n):
-        for j in range(n):
-            if adj[i][j] != adj[j][i]:
-                raise AssertionError("McKay multiplicities are not symmetric")
     dims = tuple(int(c.degree.as_rational()) for c in chars)
-    if sum(d * d for d in dims) != group.order:
-        raise AssertionError("sum of squared dims != |G|")
     # delta spans the kernel of the affine Cartan matrix
     for i in range(n):
         s = 2 * dims[i] - sum(adj[i][j] * dims[j] for j in range(n))
@@ -156,8 +151,9 @@ class RootContext:
 
 @lru_cache(maxsize=None)
 def root_context(spec: GroupSpec) -> RootContext:
-    """The finite positive roots, as the closure of the simple roots under
-    alpha -> s_i alpha = alpha + alpha_i whenever (alpha, alpha_i) = -1.
+    """The finite positive roots, as the ``orbit`` of the simple roots under
+    alpha -> s_i alpha = alpha + alpha_i whenever (alpha, alpha_i) = -1; the
+    depth of a root there is its height - 1.
 
     Each step stays among the positive roots, since s_i permutes them apart
     from alpha_i.  Every positive beta of height > 1 is reached: from
@@ -172,19 +168,13 @@ def root_context(spec: GroupSpec) -> RootContext:
     n = graph.size
     finite = tuple(range(1, n))
     edges = [[(j, m) for j, m in enumerate(row) if m] for row in graph.adjacency]
-    roots = {tuple(int(j == i) for j in range(n)) for i in finite}
-    frontier = list(roots)
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for i in finite:
-                if 2 * alpha[i] - sum(m * alpha[j] for j, m in edges[i]) == -1:
-                    up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                    if up not in roots:
-                        roots.add(up)
-                        nxt.append(up)
-        frontier = nxt
-    positive = tuple(sorted(roots))
+
+    def up(alpha: Vector) -> list[Vector]:  # the s_i alpha with (alpha, alpha_i) = -1
+        return [alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:] for i in finite
+                if 2 * alpha[i] - sum(m * alpha[j] for j, m in edges[i]) == -1]
+
+    simple = [tuple(int(j == i) for j in range(n)) for i in finite]
+    positive = tuple(sorted(orbit(simple, up)))
     phi = tuple(d - (1 if i == 0 else 0) for i, d in enumerate(graph.dims))
     maximal = max(positive, key=lambda r: (sum(r), r))
     if phi != maximal:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from oracles import (all_roots_with_pairing_zero, alpha_string_positive_roots, cleared,
                      pairwise_maximal, power, prime_retry_generic_on_hyperplane, sigma_c)
 from zerofiber import characters, mckay
-from zerofiber.characters import ClassFunction, character_table
-from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
+from zerofiber.characters import (ClassFunction, character_table, defining_character,
+                                  inner_product)
+from zerofiber.cyclotomic import Cyc
+from zerofiber.groups import GroupSpec, build_group, orbit, resolve_subgroup
 from zerofiber.mckay import (
     admissible_alpha,
     character_of_L,
@@ -332,10 +335,76 @@ ROOT_SPECS = [f"cyclic:{ell}" for ell in range(2, 31)] + [f"bd:{n}" for n in ran
     "bt", "bo", "bi"]
 
 
+MCKAY_SPECS = ["cyclic:1"] + ROOT_SPECS
+
+
 @pytest.mark.parametrize("spec", ROOT_SPECS)
 def test_positive_roots_equal_the_alpha_string_oracle(spec):
     ctx = root_context(S(spec))
     assert ctx.positive_roots == alpha_string_positive_roots(ctx.graph)
+
+
+@pytest.mark.parametrize("spec", ROOT_SPECS)
+def test_each_positive_root_has_orbit_depth_its_height_minus_one(spec):
+    """The simple-root steps of root_context, taken with the pairing of the
+    context, reach every positive root at depth height - 1 and nothing else."""
+    ctx = root_context(S(spec))
+    simple = [tuple(int(j == i) for j in range(ctx.graph.size)) for i in ctx.finite_vertices]
+
+    def up(alpha):
+        return [tuple(map(sum, zip(alpha, e))) for e in simple if ctx.pairing(alpha, e) == -1]
+
+    depth = orbit(simple, up)
+    assert sorted(depth) == list(ctx.positive_roots)
+    assert all(d == sum(alpha) - 1 for alpha, d in depth.items())
+
+
+def bfs_distances(adjacency):
+    """Graph distances from vertex 0 by a plain queue, -1 where unreached."""
+    dist = {0: 0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w, m in enumerate(adjacency[v]):
+            if m and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return [dist.get(v, -1) for v in range(len(adjacency))]
+
+
+@pytest.mark.parametrize("spec", MCKAY_SPECS)
+def test_distance_from_zero_equals_a_plain_bfs(spec):
+    graph = mckay_graph(S(spec))
+    assert graph.distance_from_zero() == bfs_distances(graph.adjacency)
+
+
+def test_distance_from_zero_marks_unreached_vertices():
+    """Two components, 0 - 1 and 2 - 3: the second is unreached."""
+    graph = dataclasses.replace(mckay_graph(S("cyclic:4")),
+                                adjacency=((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    assert graph.distance_from_zero() == bfs_distances(graph.adjacency) == [0, 1, -1, -1]
+
+
+@pytest.mark.parametrize("spec", MCKAY_SPECS)
+def test_mckay_multiplicities_equal_the_full_matrix(spec):
+    """Computing m_ij for i <= j and mirroring gives every entry of the
+    k x k matrix of inner products."""
+    group, chars = build_group(S(spec)), character_table(S(spec))
+    chi_v = defining_character(group)
+    full = tuple(tuple(inner_product(group, a * chi_v, b) for b in chars) for a in chars)
+    assert mckay.mckay_multiplicities(group, chars) == full
+
+
+def test_a_non_real_defining_character_is_rejected(monkeypatch):
+    """The mirrored entries rest on chi_V being real; a chi_V with a value
+    zeta_3 raises before any entry is computed."""
+    spec = S("cyclic:3")
+    real = defining_character(build_group(spec))
+    twisted = ClassFunction(real.values[:-1] + (Cyc.zeta(3),))
+    monkeypatch.setattr(mckay, "defining_character", lambda group: twisted)
+    mckay_graph.cache_clear()
+    with pytest.raises(AssertionError, match="defining character of cyclic:3 is not real"):
+        mckay_graph(spec)
 
 
 @pytest.mark.parametrize("gamma,other,delta", [("bt", "bo", "comm"), ("bd:2", "bd:3", "comm")])
