@@ -70,10 +70,6 @@ def inner_product(group: FiniteGroup, a: ClassFunction, b: ClassFunction) -> Fra
     return acc.as_rational() / group.order
 
 
-def value_at_element(group: FiniteGroup, chi: ClassFunction, idx: int) -> Cyc:
-    return chi.values[group.class_of[idx]]
-
-
 def defining_character(group: FiniteGroup) -> ClassFunction:
     return ClassFunction(tuple(group.trace(c[0]) for c in group.classes))
 

@@ -22,6 +22,10 @@ def normal_form(p: Poly2, basis: list[Poly2], cofcs: list[list[Poly2]] | None = 
     If cofactor tracking is on, p_cof is p's certificate over the original
     generators and cofcs[i] is basis[i]'s; the returned certificate is the
     remainder's.
+
+    A reduction never touches the remainder: max(work) strictly decreases,
+    and each reduction adds only monomials below the current m, so every
+    key of rem exceeds every monomial still in work.
     """
     track = cofcs is not None
     out_cof = list(p_cof) if track else None
@@ -45,12 +49,6 @@ def normal_form(p: Poly2, basis: list[Poly2], cofcs: list[list[Poly2]] | None = 
                             del work[mm]
                         else:
                             work[mm] = s
-                    elif mm in rem:
-                        s = rem[mm] - cc
-                        if s.is_zero():
-                            del rem[mm]
-                        else:
-                            rem[mm] = s
                     else:
                         work[mm] = -cc
                 if track:

@@ -4,6 +4,11 @@ Vertex set I = irreducible characters (vertex 0 = trivial); edges from
 tensoring with the defining 2-dimensional representation.  The finite root
 system lives on I minus vertex 0; delta is the dimension vector, phi the
 highest root, and the real affine roots are n*delta + beta.
+
+The L-module of (Gamma, Delta) is read from one derivation, ``_l_data``:
+the Gamma/Delta vertices and alpha, the highest root theta_j of the
+component of the farthest Gamma/Delta vertex j once vertex 0 and the other
+such vertices are removed (phi when Delta = Gamma).
 """
 
 from __future__ import annotations
@@ -133,7 +138,6 @@ def mckay_graph(spec: GroupSpec) -> McKayGraph:
 @dataclass(frozen=True)
 class RootContext:
     graph: McKayGraph
-    finite_vertices: tuple[int, ...]            # I minus vertex 0, in vertex order
     positive_roots: tuple[Vector, ...]          # over the full index set I (0 at vertex 0)
     phi: Vector                                 # highest root = delta - alpha_0
 
@@ -179,7 +183,7 @@ def root_context(spec: GroupSpec) -> RootContext:
     maximal = max(positive, key=lambda r: (sum(r), r))
     if phi != maximal:
         raise AssertionError("phi = delta - alpha_0 is not the highest enumerated root")
-    ctx = RootContext(graph, finite, positive, phi)
+    ctx = RootContext(graph, positive, phi)
     for alpha in positive:
         if ctx.pairing(alpha, alpha) != 2:
             raise AssertionError("finite positive root with (alpha, alpha) != 2")
@@ -241,119 +245,114 @@ def _require_subgroup_of(spec: GroupSpec, sub: Subgroup) -> None:
 
 def _linear_trivial_on(spec: GroupSpec, sub: Subgroup) -> tuple[int, ...]:
     """Vertices whose character is linear with sub in its kernel (the
-    characters of Gamma/Delta)."""
-    group = build_group(spec)
-    chars = character_table(spec)
-    out = []
-    for i, chi in enumerate(chars):
-        if chi.degree == 1 and kernel_contains(group, chi, sub):
-            out.append(i)
-    return tuple(out)
+    characters of Gamma/Delta), in vertex order: vertex 0 first."""
+    return tuple(i for i, chi in enumerate(character_table(spec))
+                 if chi.degree == 1 and kernel_contains(sub.group, chi, sub))
 
 
-def _maximal(candidates: set[Vector], finite: tuple[int, ...]) -> list[Vector]:
-    """The admissible candidates that are maximal coefficientwise, found in
-    one step: a is maximal exactly when no a + alpha_i, i finite, is one.
+def _highest_root(graph: McKayGraph, j: int, barred: set[int]) -> Vector:
+    """theta_j, the highest root of the component C_j of j in the diagram
+    without 0 and ``barred``: the climb from alpha_j by s_i beta = beta +
+    alpha_i while some free i has (beta, alpha_i) = -1.  A free i off C_j
+    pairs to 0, so the climb stays in C_j and ends at a root dominant there.
+    In a simply-laced irreducible system the roots form one Weyl orbit, and
+    an orbit meets the dominant chamber once (Humphreys, 10.3-10.4)."""
+    beta = [int(v == j) for v in range(graph.size)]
+    free = [i for i in range(1, graph.size) if i not in barred]
+    while True:
+        for i in free:
+            if 2 * beta[i] - sum(map(mul, graph.adjacency[i], beta)) == -1:
+                beta[i] += 1
+                break
+        else:
+            return tuple(beta)
 
-    For candidates a < b, gamma = b - a has 2(a, gamma) = -(gamma, gamma) < 0,
-    as (a, a) = (b, b) = 2 and the finite form is positive definite.  So
-    (a, alpha_i) = -1 for some i in supp gamma, and a + alpha_i is a root
-    below b.  It agrees with a and b on every vertex of Gamma/Delta, as every
-    root between them does, so it is a candidate too.
+
+def _l_data(spec: GroupSpec, sub: Subgroup) -> tuple[RootContext, tuple[int, ...], Vector]:
+    """The root context, the Gamma/Delta vertices (vertex 0 first) and alpha.
+
+    Delta = Gamma: only the trivial character is trivial on Gamma, so the
+    vertices are (0,), with no kernel check, and alpha = phi.  Proper Delta:
+    alpha is a maximal admissible root, with k_j = 1 at exactly one j of the
+    nontrivial Gamma/Delta vertices J.  Each j is linear, so phi_j = 1 bounds
+    k_j: admissible at j means j is the one vertex of J in the support.  A
+    support is connected, so the roots admissible at j are the roots of C_j,
+    the component of j without 0 and J - {j}.  Its highest root theta_j has
+    full support, so it is admissible and above every other root at j, while
+    a root at j' != j has k_j = 0.  The maximal admissible roots are thus
+    the theta_j, one per j as alpha_j is admissible.  alpha is the theta_j
+    farthest from vertex 0, the lexicographically largest on a tie, and
+    sum_{i != 0} k_i n_i = 2|Delta| - 1 is verified, never assumed.
     """
-    return [a for a in candidates
-            if not any(a[:i] + (a[i] + 1,) + a[i + 1:] in candidates for i in finite)]
-
-
-def admissible_alpha(spec: GroupSpec, sub: Subgroup) -> Vector:
-    """The finite positive root used for ch(L); phi when Delta = Gamma.
-
-    For proper Delta: maximal finite positive roots alpha with k_i = 1 for
-    exactly one vertex i carrying a linear character of Gamma/Delta (and
-    k_j = 0 at the other such vertices), tie-broken by graph distance from
-    vertex 0 and then lex; the identity sum_{i != 0} k_i n_i = 2|Delta| - 1
-    is verified, never assumed.  A subgroup of another group raises
-    ``ValueError``.
-    """
-    _require_subgroup_of(spec, sub)
-    group = build_group(spec)
     ctx = root_context(spec)
-    if sub.order == group.order:
-        return ctx.phi
-    j_vertices = [v for v in _linear_trivial_on(spec, sub) if v != 0]
-    if not j_vertices:
+    if sub.order == sub.group.order:
+        return ctx, (0,), ctx.phi
+    vertices = _linear_trivial_on(spec, sub)
+    js = set(vertices) - {0}
+    if not js:
         raise ValueError("no nontrivial linear character of Gamma/Delta")
-    candidates = set()
-    for alpha in ctx.positive_roots:
-        ones = [v for v in j_vertices if alpha[v] == 1]
-        others = [v for v in j_vertices if alpha[v] not in (0, 1)]
-        if len(ones) == 1 and not others:
-            candidates.add(alpha)
-    if not candidates:
-        raise ValueError(f"no admissible root for {spec} with Delta of index {sub.index}")
-    maximal = _maximal(candidates, ctx.finite_vertices)
     dist = ctx.graph.distance_from_zero()
-
-    def special_vertex(a: Vector) -> int:
-        return next(v for v in j_vertices if a[v] == 1)
-
-    best_d = max(dist[special_vertex(a)] for a in maximal)
-    far = [a for a in maximal if dist[special_vertex(a)] == best_d]
-    alpha = max(far)
+    _, alpha = max((dist[j], _highest_root(ctx.graph, j, js - {j})) for j in js)
     total = sum(alpha[i] * ctx.graph.dims[i] for i in range(1, ctx.graph.size))
     if total != 2 * sub.order - 1:
         raise AssertionError(
             f"maximal admissible root violates sum k_i n_i = 2|Delta|-1: "
             f"{alpha} gives {total}, expected {2 * sub.order - 1}")
-    return alpha
+    return ctx, vertices, alpha
 
 
-def character_of_L(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[Vector, int]:
-    """ch(L) = n delta + phi (Delta = Gamma) or (n-1) delta + alpha, and its
-    dimension; dim = g + 1 is verified against the closed form for g.  A
-    subgroup of another group raises ``ValueError``."""
+def admissible_alpha(spec: GroupSpec, sub: Subgroup) -> Vector:
+    """The finite positive root used for ch(L) (see ``_l_data``); phi when
+    Delta = Gamma.  A subgroup of another group raises ``ValueError``."""
+    _require_subgroup_of(spec, sub)
+    return _l_data(spec, sub)[2]
+
+
+def _character(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[Vector, int, tuple[int, ...]]:
+    """ch(L), its dimension and the Gamma/Delta vertices, from one ``_l_data``."""
     _require_subgroup_of(spec, sub)
     if n < 1:
         raise ValueError("n must be >= 1")
-    group = build_group(spec)
-    ctx = root_context(spec)
-    if sub.order == group.order:
-        ch = tuple(n * d + p for d, p in zip(ctx.delta, ctx.phi))
-    else:
-        alpha = admissible_alpha(spec, sub)
-        ch = tuple((n - 1) * d + a for d, a in zip(ctx.delta, alpha))
+    ctx, vertices, alpha = _l_data(spec, sub)
+    ch = tuple((n - 1 + (sub.order == sub.group.order)) * d + a for d, a in zip(ctx.delta, alpha))
     dim = vector_dim(ctx.graph, ch)
-    g = (n - 1) * group.order + 2 * (sub.order - 1)
+    g = (n - 1) * sub.group.order + 2 * (sub.order - 1)
     if dim != g + 1:
         raise AssertionError(f"dim(L) = {dim} but g + 1 = {g + 1}")
-    return ch, dim
+    return ch, dim, vertices
+
+
+def character_of_L(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[Vector, int]:
+    """ch(L) = (n - 1 + [Delta = Gamma]) delta + alpha and its dimension;
+    dim = g + 1 is verified against the closed form for g.  A subgroup of
+    another group raises ``ValueError``."""
+    return _character(spec, sub, n)[:2]
 
 
 def dimension_bound_check(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[bool, int]:
     """dim L^chi <= n for all chi in (Gamma/Delta)^vee with equality exactly
-    once; returns (ok, vertex achieving equality).  ``character_of_L``
-    rejects a subgroup of another group."""
-    ch, _ = character_of_L(spec, sub, n)
-    verts = _linear_trivial_on(spec, sub)
+    once; returns (ok, vertex achieving equality).  A subgroup of another
+    group raises ``ValueError``."""
+    ch, _, verts = _character(spec, sub, n)
     eq = [v for v in verts if ch[v] == n]
     le = all(ch[v] <= n for v in verts)
     return (le and len(eq) == 1, eq[0] if len(eq) == 1 else -1)
 
 
 def dot_export(spec: GroupSpec, sub: Subgroup | None = None) -> str:
-    """Graphviz DOT text for the McKay graph, with delta (and alpha) labels."""
+    """Graphviz DOT text for the McKay graph, with delta labels, and given
+    Delta its Gamma/Delta vertices and, for proper Delta, alpha labels.
+    Delta = Gamma needs no root data, so cyclic:1 exports too."""
+    trivial_on, alpha = (), None
     if sub is not None:
         _require_subgroup_of(spec, sub)
+        if sub.order == sub.group.order:
+            trivial_on = (0,)
+        else:
+            _, trivial_on, alpha = _l_data(spec, sub)
     graph = mckay_graph(spec)
-    group = build_group(spec)
-    alpha = None
-    if sub is not None and sub.order != group.order:
-        alpha = admissible_alpha(spec, sub)
     lines = ["graph mckay {"]
     lines.append(f'  label="{spec} : {graph.affine_type}";')
-    trivial_on = set()
-    if sub is not None:
-        trivial_on = set(_linear_trivial_on(spec, sub))
     for v in range(graph.size):
         tags = [f"dim={graph.dims[v]}"]
         if v in graph.linear_vertices:

@@ -167,10 +167,6 @@ def reflections(ctx: WreathContext) -> list[Reflection]:
 class Hyperplane:
     reflection_ids: tuple[int, ...]  # indices into the reflection list
 
-    @property
-    def stabilizer_order(self) -> int:
-        return 1 + len(self.reflection_ids)
-
 
 def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[Hyperplane]:
     """The fix hyperplanes of the reflections, built from their shapes.

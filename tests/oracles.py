@@ -24,8 +24,9 @@ quaternionic oracles use ``quaternion_basis``,
 ``bd_table``, ``bt_table``, ``bo_table`` and ``bi_table`` are the
 closed-form and stored character tables that the McKay sieve replaced;
 ``element_order`` and ``power`` read what they need off the multiplication
-table.  ``pairwise_maximal`` is the O(c^2) maximality filter that
-``mckay._maximal`` replaced.  ``columns_are_orthogonal`` is the column
+table.  ``pairwise_maximal`` is the O(c^2) maximality filter over the
+admissible roots that the highest roots theta_j of ``mckay._highest_root``
+replaced.  ``columns_are_orthogonal`` is the column
 half of the table check, which row orthonormality of a square table implies.
 
 ``sigma_c`` is the minimal set of the roots that pair to zero with c, found

@@ -349,7 +349,7 @@ def test_each_positive_root_has_orbit_depth_its_height_minus_one(spec):
     """The simple-root steps of root_context, taken with the pairing of the
     context, reach every positive root at depth height - 1 and nothing else."""
     ctx = root_context(S(spec))
-    simple = [tuple(int(j == i) for j in range(ctx.graph.size)) for i in ctx.finite_vertices]
+    simple = [tuple(int(j == i) for j in range(ctx.graph.size)) for i in range(1, ctx.graph.size)]
 
     def up(alpha):
         return [tuple(map(sum, zip(alpha, e))) for e in simple if ctx.pairing(alpha, e) == -1]
@@ -483,19 +483,67 @@ MAXIMALITY_PAIRS = [(text, sub) for text in ([f"cyclic:{ell}" for ell in range(2
                     for sub in proper_subgroups(text)]
 
 
-def test_one_step_maximality_matches_the_pairwise_filter():
-    """On every proper (Gamma, Delta) of the catalogue, the admissible
-    candidates that no a + alpha_i dominates are those that no candidate
-    dominates."""
+def test_highest_roots_are_the_pairwise_maximal_candidates():
+    """On every proper (Gamma, Delta) of the catalogue, the highest
+    admissible candidate at each vertex j of Gamma/Delta is the theta_j that
+    the climb builds; these are exactly the candidates that no candidate
+    dominates, and admissible_alpha is the one at the farthest vertex, the
+    lexicographically largest on a tie."""
     assert len(MAXIMALITY_PAIRS) > 100
     for text, sub in MAXIMALITY_PAIRS:
         spec = S(text)
         ctx = root_context(spec)
-        j_vertices = [v for v in mckay._linear_trivial_on(spec, sub) if v]
+        js = {v for v in mckay._linear_trivial_on(spec, sub) if v}
         candidates = {a for a in ctx.positive_roots
-                      if [a[v] for v in j_vertices].count(1) == 1
-                      and all(a[v] in (0, 1) for v in j_vertices)}
-        assert candidates, (text, sub.name)
-        maximal = mckay._maximal(candidates, ctx.finite_vertices)
-        assert sorted(maximal) == sorted(pairwise_maximal(candidates)), (text, sub.name)
-        assert admissible_alpha(spec, sub) in maximal
+                      if [a[v] for v in js].count(1) == 1 and all(a[v] in (0, 1) for v in js)}
+        highest = {}
+        for j in js:
+            at_j = [a for a in candidates if a[j] == 1]
+            highest[j] = max(at_j, key=lambda a: (sum(a), a))
+            assert mckay._highest_root(ctx.graph, j, js - {j}) == highest[j], (text, sub.name, j)
+        assert sorted(highest.values()) == sorted(pairwise_maximal(candidates)), (text, sub.name)
+        dist = ctx.graph.distance_from_zero()
+        far = max(dist[j] for j in js)
+        assert admissible_alpha(spec, sub) == max(a for j, a in highest.items() if dist[j] == far)
+
+
+CYCLIC1_WHOLE_DOT = ('graph mckay {\n  label="cyclic:1 : A0(1)";\n'
+                     '  v0 [label="0 (dim=1, linear, trivial-on-delta)\\ndelta=1"];\n'
+                     '  v0 -- v0;\n}\n')
+
+
+@pytest.mark.parametrize("spec", MCKAY_SPECS)
+def test_dot_export_of_the_whole_group_tags_vertex_zero_alone(spec):
+    """Delta = Gamma tags only vertex 0 and labels no alpha, with no root
+    data: cyclic:1, whose root_context raises, exports as well."""
+    sub = resolve_subgroup(build_group(S(spec)), "whole")
+    plain = dot_export(S(spec))
+    tagged = plain.replace('v0 [label="0 (dim=1, linear)', 'v0 [label="0 (dim=1, linear, '
+                           'trivial-on-delta)', 1)
+    assert tagged != plain
+    assert dot_export(S(spec), sub) == tagged
+    if spec == "cyclic:1":
+        assert tagged == CYCLIC1_WHOLE_DOT
+
+
+@pytest.mark.parametrize("text,delta", [("bt", "comm"), ("bd:4", "cyc2"), ("cyclic:6", "comm"),
+                                        ("bi", "whole"), ("cyclic:5", "whole")])
+def test_each_public_call_derives_the_quotient_vertices_at_most_once(monkeypatch, text, delta):
+    """A proper Delta makes one kernel check of the linear characters per
+    public call, and Delta = Gamma makes none."""
+    calls = []
+    original = mckay._linear_trivial_on
+
+    def counted(spec, sub):
+        calls.append(spec)
+        return original(spec, sub)
+
+    monkeypatch.setattr(mckay, "_linear_trivial_on", counted)
+    spec = S(text)
+    sub = resolve_subgroup(build_group(spec), delta)
+    proper = sub.order < sub.group.order
+    for call in (lambda: admissible_alpha(spec, sub), lambda: character_of_L(spec, sub, 2),
+                 lambda: dimension_bound_check(spec, sub, 2), lambda: dot_export(spec, sub)):
+        calls.clear()
+        call()
+        assert calls == ([spec] if proper else [])
