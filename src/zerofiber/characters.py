@@ -10,17 +10,33 @@ orthogonality needs no check of its own: row orthonormality of a square
 table is M M* = I for M_{chi, C} = chi(C) sqrt(|C| / |G|), and a square
 matrix with a right inverse has it as its left inverse, so M* M = I, which
 is the column relation.
+
+Inner products go through packed forms (Kronecker substitution).  A class
+function a keeps, from its first inner product on, one integer per class
+for each side of a pair: with den_a the common denominator of its values
+and A_c(z) = den_a * a(c) over the power basis of Q(zeta_m), the left form
+is A_c(2^B) and the right form is A_c with its phi(m) coefficients
+reversed, at the same base.  For a pair (a, b) the sum over the classes of
+|c| times a's left form times b's right form is one C-level big-integer
+dot product, whose 2 phi - 1 signed base-2^B digits are the coefficients
+of z^(1 - phi) .. z^(phi - 1) in sum_c |c| A_c(z) conj(B_c(z)).  A digit
+is exact while its absolute value stays below 2^(B-1), which
+|G| norm_a norm_b < 2^(B-1) guarantees (norm_a: the largest l1 norm of an
+A_c); a pair outside that bound raises ``ValueError``.  The forms live on
+the functions, so those of a table live and die with the
+``character_table`` cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
-from .cyclotomic import Cyc, hermitian_sum
+from .cyclotomic import SLOT_BITS, Cyc, kronecker_pack, kronecker_unpack
 from .groups import FiniteGroup, GroupSpec, Subgroup, build_group, commutator_subgroup
 
 
@@ -52,21 +68,56 @@ class ClassFunction:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
+    @cached_property
+    def packed(self) -> tuple[int, list[int], list[int], int, int]:
+        """(m, left, right, den, norm): ``kronecker_pack`` of the values at
+        their lcm conductor m, computed on first use and kept with the
+        function."""
+        m = lcm(*(v.m for v in self.values))
+        return (m, *kronecker_pack(self.values, m))
+
 
 def _key(chi: ClassFunction) -> tuple:
     """The exact values as plain integers, (m, num, den) per class."""
     return tuple((v.m, v.num, v.den) for v in chi.values)
 
 
+def _packed_at(f: ClassFunction, m: int) -> tuple[int, list[int], list[int], int, int]:
+    """f's packed form at conductor m, a multiple of its own: the stored one,
+    or one packed for this pair alone."""
+    return f.packed if f.packed[0] == m else (m, *kronecker_pack(f.values, m))
+
+
+def hermitian_dot(weights: list[int], a: ClassFunction, b: ClassFunction) -> Cyc:
+    """sum_k w_k a_k conj(b_k) for integer weights, as one dot product of the
+    packed forms: sum_k w_k left_a[k] right_b[k] = sum_t s_t 2^(B t), where
+    s_t is the coefficient of z^(t - phi + 1) (see ``kronecker_pack``), then
+    decoded by ``kronecker_unpack`` over the denominator den_a den_b.  Two
+    conductors are lifted to their lcm first.
+
+    Every |s_t| <= sum_k |w_k| |a_k|_1 |b_k|_1 <= (sum |w|) norm_a norm_b, so
+    the digits are exact below 2^(B-1); at or above it this raises
+    ``ValueError`` and names both operands.
+    """
+    m = lcm(a.packed[0], b.packed[0])
+    _, left, _, den_a, norm_a = _packed_at(a, m)
+    _, _, right, den_b, norm_b = _packed_at(b, m)
+    if sum(map(abs, weights)) * norm_a * norm_b >= 1 << (SLOT_BITS - 1):
+        raise ValueError(f"Hermitian sum of {a} and {b} with weights {weights} may overflow "
+                         f"its {SLOT_BITS}-bit slots")
+    return kronecker_unpack(sum(map(mul, map(mul, weights, left), right)), m, den_a * den_b)
+
+
 def inner_product(group: FiniteGroup, a: ClassFunction, b: ClassFunction) -> Fraction:
     """(1/|G|) sum_g a(g) conj(b(g)); exact, and rational for our uses.
 
-    One fused sum over the classes, weighted by class size: each value
-    a_i z^i times conj(b_j z^j) lands in slot (i - j) mod m of a single
-    integer vector (see ``hermitian_sum``).  Raises ``ValueError`` when the
-    result is not rational.
+    One ``hermitian_dot`` over the classes, weighted by class size: a
+    C-level sum of k big-integer products of the packed forms, which each
+    function computes once, then 2 phi - 1 signed base-2^B digits decoded and
+    folded mod Phi_m.  Raises ``ValueError`` when the result is not
+    rational, and when |G| norm_a norm_b reaches 2^(B-1), the digit bound.
     """
-    acc = hermitian_sum(map(len, group.classes), a.values, b.values)
+    acc = hermitian_dot([len(c) for c in group.classes], a, b)
     return acc.as_rational() / group.order
 
 
@@ -153,7 +204,13 @@ def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction]:
     representation with sigma_k applied to its entries, and
     <sigma chi, sigma chi> = sigma <chi, chi> = 1, so it is irreducible.  On
     E8, where 6 * chi_V = 5 + 4' + 3' does not split, the conjugates 2' and
-    3' of 2 = chi_V and 3 supply the missing rows.
+    3' of 2 = chi_V and 3 supply the missing rows.  A character with only
+    rational values is its own image under every sigma_k, so it is pushed
+    alone.
+
+    A chi whose chi * chi_V strips to zero is a sum of known characters, and
+    every character found later is orthogonal to each of them, so it would
+    strip to zero again: such a chi is not decomposed twice.
 
     Raises ``AssertionError`` on a multiplicity that is not a non-negative
     integer, on a value at another conductor, and when no product chi * chi_V
@@ -164,11 +221,13 @@ def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction]:
     known: list[ClassFunction] = list(linear_characters(group))
     seen = {_key(chi) for chi in known}
     chi_v = defining_character(group)
+    split: set[int] = set()  # indices i in known with known[i] * chi_V a sum of known
 
     def push(chi):
         if any(v.m != m for v in chi.values):
             raise AssertionError(f"McKay sieve met a value off conductor {m} on {group.spec}")
-        for k in units:
+        rational = all(v.is_rational() for v in chi.values)
+        for k in ([1] if rational else units):
             image = chi if k == 1 else ClassFunction(tuple(v.galois(k) for v in chi.values))
             key = _key(image)
             if key not in seen:
@@ -179,7 +238,9 @@ def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction]:
         push(chi_v)
     target = len(group.classes)
     while len(known) < target:
-        for chi in list(known):
+        for i, chi in enumerate(list(known)):
+            if i in split:
+                continue
             rem = chi * chi_v
             for psi in known:
                 mult = inner_product(group, rem, psi)
@@ -188,6 +249,7 @@ def _mckay_sieve(group: FiniteGroup) -> list[ClassFunction]:
                 if mult:
                     rem = rem - psi.scale(int(mult))
             if rem.is_zero():
+                split.add(i)
                 continue
             if inner_product(group, rem, rem) == 1:
                 push(rem)

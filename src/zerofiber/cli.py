@@ -22,6 +22,14 @@ status of every displayed identity, the Molien certificate of the invariant
 ring, the verdict of ``GroebnerBasis.verify`` on the reduced basis, and the
 wall seconds of each stage.  It exits with 1 when the verification or a
 ledger entry fails.
+
+    zerofiber tables GAMMA [--dot]
+
+prints the character table of GAMMA (one row of class values per
+irreducible character, in the order of the McKay vertices, each value a
+polynomial in z = exp(2 pi i / m) for the conductor m), the class sizes,
+its McKay graph with the affine type, and the wall seconds of each stage.
+With ``--dot`` it prints the McKay graph as Graphviz DOT text instead.
 """
 
 from __future__ import annotations
@@ -32,10 +40,12 @@ import sys
 import time
 from collections.abc import Callable
 
+from .characters import character_table
 from .groups import GroupSpec, build_group, resolve_subgroup
 from .invariants import (_molien_certificate, fundamental_invariants, invariant_ideal_basis,
                          zero_fiber_degree)
 from .ledger import verify_identity_ledger
+from .mckay import dot_export, mckay_graph
 from .wreath import WreathContext, appendix_report, hyperplanes, numerology_report, reflections
 
 
@@ -103,6 +113,31 @@ def ledger_report(spec: GroupSpec) -> dict:
     }
 
 
+def tables_report(spec: GroupSpec) -> dict:
+    """The character table and McKay graph of spec as a JSON-ready dict,
+    with stage times."""
+    seconds, stage = _stage_timer()
+    group = stage("closure", build_group, spec)
+    chars = stage("table", character_table, spec)
+    graph = stage("mckay_graph", mckay_graph, spec)
+    return {
+        "gamma": str(spec), "order": group.order, "conductor": group.conductor,
+        "class_sizes": [len(c) for c in group.classes],
+        "characters": [[str(v) for v in chi.values] for chi in chars],
+        "mckay": {"affine_type": graph.affine_type, "dims": list(graph.dims),
+                  "adjacency": [list(row) for row in graph.adjacency],
+                  "linear_vertices": list(graph.linear_vertices)},
+        "stage_seconds": seconds,
+    }
+
+
+def _parse_spec(ap: argparse.ArgumentParser, command: str, text: str) -> GroupSpec:
+    try:
+        return GroupSpec.parse(text)
+    except ValueError as exc:
+        ap.error(f"{command} {text}: {exc}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="zerofiber",
@@ -116,13 +151,20 @@ def main(argv: list[str] | None = None) -> int:
         rp.add_argument("n", type=int, help="rank n >= 1")
     lp = sub.add_parser("ledger", help="zero fibre, identity ledger and certificates as JSON")
     lp.add_argument("gamma", help="group spec, e.g. bt, bd:3, cyclic:4")
+    tp = sub.add_parser("tables", help="character table and McKay graph as JSON")
+    tp.add_argument("gamma", help="group spec, e.g. bt, bd:3, cyclic:4")
+    tp.add_argument("--dot", action="store_true", help="print the McKay graph as Graphviz DOT")
     args = ap.parse_args(argv)
+    if args.command == "tables":
+        spec = _parse_spec(ap, "tables", args.gamma)
+        if args.dot:
+            sys.stdout.write(dot_export(spec))
+        else:
+            json.dump(tables_report(spec), sys.stdout)
+            sys.stdout.write("\n")
+        return 0
     if args.command == "ledger":
-        try:
-            spec = GroupSpec.parse(args.gamma)
-        except ValueError as exc:
-            ap.error(f"ledger {args.gamma}: {exc}")
-        out = ledger_report(spec)
+        out = ledger_report(_parse_spec(ap, "ledger", args.gamma))
         json.dump(out, sys.stdout)
         sys.stdout.write("\n")
         failed = out["verify"] != "pass" or "failed" in out["ledger"].values()

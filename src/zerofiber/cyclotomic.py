@@ -88,6 +88,60 @@ def _power_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
+# B, the slot width of the Kronecker substitution x = 2^B in
+# ``kronecker_pack``: a packed Hermitian sum is exact while every digit
+# stays below 2^(B-1) in absolute value.
+SLOT_BITS = 64
+
+
+def kronecker_pack(values, m: int) -> tuple[list[int], list[int], int, int]:
+    """The packed forms of values lifted to Q(zeta_m): (left, right, den, norm).
+
+    den is the lcm of the denominators, and A_k(z) = den * values[k] has
+    integer coefficients a_0..a_(phi-1).  left[k] = A_k(2^B), and
+    right[k] = sum_j a_j 2^(B (phi - 1 - j)) is A_k with its coefficients
+    reversed, so that left[k] * right[k'] has at slot i - j + phi - 1 the
+    coefficient of z^(i - j) in A_k(z) conj(A_k'(z)).  norm is the largest
+    l1 norm sum_i |a_i| over the values, the bound ``kronecker_unpack``
+    needs on the slots.
+    """
+    values = [v.lift(m) for v in values]
+    den = lcm(*(v.den for v in values))
+    left, right, norm = [], [], 0
+    for v in values:
+        scale = den // v.den
+        a = b = 0
+        for c in reversed(v.num):
+            a = (a << SLOT_BITS) + c
+        for c in v.num:
+            b = (b << SLOT_BITS) + c
+        left.append(a * scale)
+        right.append(b * scale)
+        norm = max(norm, scale * sum(map(abs, v.num)))
+    return left, right, den, norm
+
+
+def kronecker_unpack(total: int, m: int, den: int) -> "Cyc":
+    """sum_t s_t z^(t - phi + 1) / den in Q(zeta_m), from the 2 phi - 1 signed
+    base-2^B digits of total = sum_t s_t 2^(B t), each |s_t| < 2^(B-1).
+
+    Digit t is ((total + 2^(B-1)) mod 2^B) - 2^(B-1), and total then drops
+    it and shifts down one slot.  Each z^e, e = t - phi + 1 in
+    (-phi, phi), is folded in as the row of z^(e mod m) in ``_power_rows``.
+    """
+    phi = euler_phi(m)
+    rows = _power_rows(m)
+    half, mask = 1 << (SLOT_BITS - 1), (1 << SLOT_BITS) - 1
+    out = [0] * phi
+    for e in range(1 - phi, phi):  # digit t holds the coefficient of z^e, e = t - phi + 1
+        digit = ((total + half) & mask) - half
+        total = (total - digit) >> SLOT_BITS
+        if digit:
+            for i, c in rows[e % m]:
+                out[i] += digit * c
+    return _reduced(m, out, den)
+
+
 @lru_cache(maxsize=None)
 def _units(m: int) -> tuple[int, ...]:
     """The k in 2..m-1 with gcd(k, m) = 1: the non-identity automorphisms."""
@@ -402,50 +456,6 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc({self.m}: {self})"
-
-
-def hermitian_sum(weights, xs, ys) -> Cyc:
-    """sum_k w_k * x_k * conj(y_k) for integers w_k and Cyc values x_k, y_k.
-
-    conj(z^j) = z^(m-j), so a_i z^i * conj(b_j z^j) = a_i b_j z^((i-j) mod m):
-    each term adds w*a_i*b_j into slot (i - j) mod m of one integer vector,
-    a value of Z[z]/(z^m - 1).  That vector is reduced mod Phi_m and divided
-    by its content once, at the end, so no Cyc is built per term.  The terms
-    share one running common denominator; the vector is rescaled only when a
-    term's denominator does not divide it.  Operands of other conductors are
-    lifted to the lcm conductor first.
-    """
-    terms = list(zip(weights, xs, ys))
-    m = lcm(*{v.m for _, x, y in terms for v in (x, y)})
-    if m > CONDUCTOR_CAP:
-        raise ConductorError(f"conductor lcm {m} exceeds cap {CONDUCTOR_CAP}")
-    # slot (i - j) mod m is kept as acc[i - j + m] and folded in at the end:
-    # acc[k] + acc[k + m], since z^m = 1
-    acc = [0] * (2 * m)
-    den = 1
-    for w, x, y in terms:
-        x, y = x.lift(m), y.lift(m)
-        d = x.den * y.den
-        if den % d:
-            scale = d // gcd(den, d)
-            acc = [v * scale for v in acc]
-            den *= scale
-        w *= den // d
-        conj_y = [(m - j, b) for j, b in enumerate(y.num) if b]
-        for i, a in enumerate(x.num):
-            if a:
-                wa = w * a
-                for shift, b in conj_y:
-                    acc[i + shift] += wa * b
-    phi = euler_phi(m)
-    out = [acc[k] + acc[k + m] for k in range(phi)]
-    rows = _power_rows(m)
-    for k in range(phi, m):
-        ck = acc[k] + acc[k + m]
-        if ck:
-            for t, c in rows[k]:
-                out[t] += ck * c
-    return _reduced(m, out, den)
 
 
 # The named algebraic constant the paper uses: sqrt5, realized as the Gauss

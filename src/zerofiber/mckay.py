@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import compress, repeat
+from operator import add, eq, le, mul
 
 from .characters import (ClassFunction, character_table, defining_character, inner_product,
                          kernel_contains)
@@ -180,9 +181,9 @@ def root_context(spec: GroupSpec) -> RootContext:
     simple = [tuple(int(j == i) for j in range(n)) for i in finite]
     positive = tuple(sorted(orbit(simple, up)))
     phi = tuple(d - (1 if i == 0 else 0) for i, d in enumerate(graph.dims))
-    maximal = max(positive, key=lambda r: (sum(r), r))
-    if phi != maximal:
-        raise AssertionError("phi = delta - alpha_0 is not the highest enumerated root")
+    if phi not in positive or not all(all(map(le, beta, phi)) for beta in positive):
+        raise AssertionError("phi = delta - alpha_0 is not the highest root: some positive "
+                             "root is not below it coefficientwise")
     ctx = RootContext(graph, positive, phi)
     for alpha in positive:
         if ctx.pairing(alpha, alpha) != 2:
@@ -211,14 +212,20 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
     / ((alpha.alpha) t^r) is orthogonal to alpha, and c_0 = 1 - sum_{i>0}
     c'_i delta_i makes c.delta = 1, as delta_0 = 1.  A finite beta has
     beta_0 = 0, so (alpha.alpha) t^r c.beta = sum_{i>0} w_i t^i with the
-    integers w = (alpha.alpha) beta - (alpha.beta) alpha.  As beta <= phi
-    coefficientwise, |w_i| <= (alpha.alpha + alpha.phi) max(phi) = (t - 1)/2.
-    So the sum is 0 only when every digit w_i is, that is when beta is a
-    multiple of alpha, which no positive root but alpha is; and
-    |sum w_i t^i| <= t (t^(r-1) - 1)/2 < t^r.  So the real root
-    m delta + s beta has c-pairing m + s c.beta = 0 only for beta = alpha,
-    m = 0 and s = 1, and R_c = {alpha}.  The three facts are checked at run
-    time on the integers den * c, in one pass over the positive roots.
+    integers w = (alpha.alpha) beta - (alpha.beta) alpha.  As
+    0 <= beta <= phi coefficientwise, -(alpha.phi) alpha_i <= w_i <=
+    (alpha.alpha) phi_i, so |w_i| <= (alpha.alpha + alpha.phi) max(phi) =
+    (t - 1)/2.  So the sum is 0 only when every digit w_i is, that is when
+    beta is a multiple of alpha; and |sum w_i t^i| <= t (t^(r-1) - 1)/2 <
+    t^r.  So the real root m delta + s beta has c-pairing m + s c.beta = 0
+    only for beta = alpha, m = 0 and s = 1, and R_c = {alpha}.
+
+    The hypotheses are checked, with no product of the large numerators of
+    c: beta >= 0 by construction and beta <= phi by ``root_context`` for
+    every positive root; here c.alpha = 0 and c.delta = 1 on den * c, and
+    w != 0 for every beta != alpha, as |w|^2 = (alpha.alpha)((alpha.alpha)
+    (beta.beta) - (alpha.beta)^2), computed only where the coordinate sum of
+    w cancels.
     """
     if alpha not in ctx.positive_roots:
         raise ValueError("alpha must be a finite positive root")
@@ -230,9 +237,16 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
     den = aa * t ** r
     num = [aa * ui - ua * ai for ui, ai in zip(u, alpha)]  # den * c
     num[0] = den - _idot(num[1:], ctx.delta[1:])
+    others = [beta for beta in ctx.positive_roots if beta != alpha]
+    ab = [0] * len(others)  # alpha.beta for every other root, one coordinate at a time
+    for a, col in zip(alpha, zip(*others)):
+        if a:
+            ab = list(map(add, ab, map(mul, repeat(a), col)))
+    sa = sum(alpha)  # w = 0 needs sum(w) = aa sum(beta) - (alpha.beta) sum(alpha) = 0
+    cancel = map(eq, map(mul, repeat(aa), map(sum, others)), map(mul, repeat(sa), ab))
     if (_idot(num, alpha) != 0 or _idot(num, ctx.delta) != den
-            or not all(0 < abs(_idot(num, beta)) < den
-                       for beta in ctx.positive_roots if beta != alpha)):
+            or any(s * s == aa * _idot(beta, beta)
+                   for beta, s in compress(zip(others, ab), cancel))):
         raise AssertionError("constructed c fails the bound 0 < |c.beta| < 1, so Sigma_c "
                              "= {alpha} is not certified")
     return tuple(Fraction(x, den) for x in num)

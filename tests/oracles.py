@@ -28,6 +28,8 @@ table.  ``pairwise_maximal`` is the O(c^2) maximality filter over the
 admissible roots that the highest roots theta_j of ``mckay._highest_root``
 replaced.  ``columns_are_orthogonal`` is the column
 half of the table check, which row orthonormality of a square table implies.
+``hermitian_sum`` is the term-by-term Hermitian sum over coefficient pairs
+that the packed dot product of ``characters.hermitian_dot`` replaced.
 
 ``sigma_c`` is the minimal set of the roots that pair to zero with c, found
 by ``all_roots_with_pairing_zero``: the re-check that the integer bound in
@@ -69,7 +71,8 @@ from operator import mul
 
 from zerofiber import invariants, linalg
 from zerofiber.characters import ClassFunction, linear_characters, trivial_character
-from zerofiber.cyclotomic import Cyc, hermitian_sum
+from zerofiber.cyclotomic import (CONDUCTOR_CAP, ConductorError, Cyc, _power_rows, _reduced,
+                                  euler_phi)
 from zerofiber.groebner import GroebnerBasis, buchberger
 from zerofiber.groups import FiniteGroup, GroupSpec, build_group
 from zerofiber.invariants import fundamental_invariants, reynolds_many
@@ -783,6 +786,50 @@ def prime_retry_generic_on_hyperplane(ctx: RootContext, alpha) -> tuple[Fraction
 
 
 # -- character tables -------------------------------------------------------------
+
+def hermitian_sum(weights, xs, ys) -> Cyc:
+    """sum_k w_k * x_k * conj(y_k) for integers w_k and Cyc values x_k, y_k.
+
+    conj(z^j) = z^(m-j), so a_i z^i * conj(b_j z^j) = a_i b_j z^((i-j) mod m):
+    each term adds w*a_i*b_j into slot (i - j) mod m of one integer vector,
+    a value of Z[z]/(z^m - 1).  That vector is reduced mod Phi_m and divided
+    by its content once, at the end, so no Cyc is built per term.  The terms
+    share one running common denominator; the vector is rescaled only when a
+    term's denominator does not divide it.  Operands of other conductors are
+    lifted to the lcm conductor first.
+    """
+    terms = list(zip(weights, xs, ys))
+    m = lcm(*{v.m for _, x, y in terms for v in (x, y)})
+    if m > CONDUCTOR_CAP:
+        raise ConductorError(f"conductor lcm {m} exceeds cap {CONDUCTOR_CAP}")
+    # slot (i - j) mod m is kept as acc[i - j + m] and folded in at the end:
+    # acc[k] + acc[k + m], since z^m = 1
+    acc = [0] * (2 * m)
+    den = 1
+    for w, x, y in terms:
+        x, y = x.lift(m), y.lift(m)
+        d = x.den * y.den
+        if den % d:
+            scale = d // gcd(den, d)
+            acc = [v * scale for v in acc]
+            den *= scale
+        w *= den // d
+        conj_y = [(m - j, b) for j, b in enumerate(y.num) if b]
+        for i, a in enumerate(x.num):
+            if a:
+                wa = w * a
+                for shift, b in conj_y:
+                    acc[i + shift] += wa * b
+    phi = euler_phi(m)
+    out = [acc[k] + acc[k + m] for k in range(phi)]
+    rows = _power_rows(m)
+    for k in range(phi, m):
+        ck = acc[k] + acc[k + m]
+        if ck:
+            for t, c in rows[k]:
+                out[t] += ck * c
+    return _reduced(m, out, den)
+
 
 def columns_are_orthogonal(group: FiniteGroup, chars) -> bool:
     """Column orthogonality: sum_chi chi(C) conj(chi(C')) is |G| / |C| when

@@ -11,6 +11,8 @@ import pytest
 from zerofiber import cli
 from zerofiber.cli import main
 from zerofiber.groebner import GroebnerBasis
+from zerofiber.groups import GroupSpec
+from zerofiber.mckay import dot_export
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -141,6 +143,48 @@ def test_ledger_rejects_a_bad_spec_naming_it(spec, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "zerofiber: error:" in err and f"ledger {spec}" in err
+    assert "invalid literal" not in err
+
+
+def test_tables_prints_the_character_table_and_mckay_graph(capsys):
+    assert main(["tables", "bt"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["gamma"], out["order"], out["conductor"]) == ("bt", 24, 24)
+    assert sum(out["class_sizes"]) == 24 and len(out["class_sizes"]) == 7
+    assert len(out["characters"]) == 7 and all(len(row) == 7 for row in out["characters"])
+    assert out["characters"][0] == ["1"] * 7
+    assert sorted(row[0] for row in out["characters"]) == ["1", "1", "1", "2", "2", "2", "3"]
+    graph = out["mckay"]
+    assert graph["affine_type"] == "E6(1)" and sorted(graph["dims"]) == [1, 1, 1, 2, 2, 2, 3]
+    assert [sum(row) for row in graph["adjacency"]].count(3) == 1  # the branch vertex
+    assert graph["linear_vertices"] == [i for i, d in enumerate(graph["dims"]) if d == 1]
+    seconds = out["stage_seconds"]
+    assert list(seconds) == ["closure", "table", "mckay_graph"]
+    assert all(s >= 0 for s in seconds.values())
+
+
+def test_tables_of_the_trivial_group(capsys):
+    assert main(["tables", "cyclic:1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["characters"] == [["1"]]
+    assert out["mckay"] == {"affine_type": "A0(1)", "dims": [1], "adjacency": [[2]],
+                            "linear_vertices": [0]}
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:5", "bd:3", "bi"])
+def test_tables_dot_prints_the_dot_export(spec, capsys):
+    assert main(["tables", spec, "--dot"]) == 0
+    assert capsys.readouterr().out == dot_export(GroupSpec.parse(spec))
+
+
+@pytest.mark.parametrize("argv", [["tables", "nosuch"], ["tables", "cyclic:0", "--dot"],
+                                  ["tables", "bd:x"], ["tables", "cyclic:10001"]])
+def test_tables_rejects_a_bad_spec_naming_it(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"zerofiber: error: tables {argv[1]}: " in err
     assert "invalid literal" not in err
 
 

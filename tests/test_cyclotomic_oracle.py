@@ -9,6 +9,7 @@ exponents taken mod m, as x^m = 1 mod Phi_m).  Every result must
 also be in canonical form: a positive denominator coprime to the numerator.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import Poly, QQ, Rational, cyclotomic_poly, invert, symbols
 
-from zerofiber.cyclotomic import Cyc, euler_phi, hermitian_sum
+from oracles import hermitian_sum
+from zerofiber.characters import ClassFunction, hermitian_dot
+from zerofiber.cyclotomic import SLOT_BITS, Cyc, euler_phi
 
 X = symbols("x")
 CONDUCTORS = range(1, 31)
@@ -110,9 +113,10 @@ def test_lift(m, data):
 @PER_CONDUCTOR
 @given(data=st.data())
 def test_hermitian_sum(m, data):
-    """sum_k w_k x_k conj(y_k), with each y_k from a divisor conductor of m:
-    in sympy, conj(y) = y(x^(d-1)) at y's conductor d, lifted by x^(m/d).
-    Denominators up to 12 make the running common denominator change."""
+    """sum_k w_k x_k conj(y_k) by the packed kernel, with each y_k from a
+    divisor conductor of m: in sympy, conj(y) = y(x^(d-1)) at y's conductor
+    d, lifted by x^(m/d).  Denominators up to 12 make each operand clear a
+    common denominator, and negative weights give negative slots."""
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     terms = data.draw(st.lists(
         st.tuples(st.integers(-5, 5), cycs(m), st.sampled_from(divisors).flatmap(cycs)),
@@ -121,9 +125,38 @@ def test_hermitian_sum(m, data):
     for w, x, y in terms:
         conj_y = substitute_power(y, y.m - 1).compose(Poly(X ** (m // y.m), X, domain=QQ))
         expected += w * to_sympy(x) * conj_y
-    total = hermitian_sum([t[0] for t in terms], [t[1] for t in terms], [t[2] for t in terms])
+    total = hermitian_dot([t[0] for t in terms], ClassFunction(tuple(t[1] for t in terms)),
+                          ClassFunction(tuple(t[2] for t in terms)))
     assert total.m == (m if terms else 1)
     assert matches(total, expected)
+
+
+HALF = 1 << (SLOT_BITS - 1)
+
+
+@pytest.mark.parametrize("weights,x,y", [
+    ([1], Cyc(1, (HALF - 1,)), Cyc.one(1)),              # the largest slot, positive
+    ([-1], Cyc(1, (HALF - 1,)), Cyc.one(1)),             # and negative
+    ([1], Cyc(4, (0, 1)), Cyc(4, (0, HALF - 1))),        # the middle slot of three
+    ([-1], Cyc(4, (1, 0)), Cyc(4, (0, HALF - 1))),       # the lowest slot, z^-1
+    ([3, 2], Cyc(6, (7, -5), 4), Cyc(3, (-2, 9), 3)),    # two conductors, two denominators
+])
+def test_hermitian_dot_below_the_slot_bound_is_exact(weights, x, y):
+    """At sum |w| |x|_1 |y|_1 < 2^(B-1) every digit decodes exactly, up to
+    the extreme slot values +-(2^(B-1) - 1)."""
+    xs, ys = (x,) * len(weights), (y,) * len(weights)
+    assert hermitian_dot(weights, ClassFunction(xs), ClassFunction(ys)) == hermitian_sum(
+        weights, xs, ys)
+
+
+def test_hermitian_dot_at_the_slot_bound_raises():
+    """At sum |w| |x|_1 |y|_1 = 2^(B-1) a slot can hold 2^(B-1), which would
+    decode as -2^(B-1): the kernel refuses and names both operands instead
+    of wrapping."""
+    a, b = ClassFunction((Cyc(1, (HALF,)),)), ClassFunction((Cyc.one(1),))
+    with pytest.raises(ValueError, match=rf"^Hermitian sum of {re.escape(str(a))} and "
+                                         rf"{re.escape(str(b))} .*{SLOT_BITS}-bit slots$"):
+        hermitian_dot([1], a, b)
 
 
 @pytest.mark.parametrize("m", [1, 16, 20, 24, 28, 30])

@@ -18,7 +18,6 @@ ALLOWED = {
     "affine_cartan": "reference code in tests/oracles.py",
     "contains": "reference code in tests/oracles.py",
     "appendix_checks": "the tested entry point of the appendix identities",
-    "dot_export": "the `tables --dot` export planned for the CLI in ROADMAP item 7",
 }
 
 
