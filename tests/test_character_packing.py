@@ -1,4 +1,5 @@
-"""The packed character inner products and the McKay sieve around them.
+"""The packed character inner products, the McKay sieve around them, and
+the root bound that the Sigma_c certificate rests on.
 
 The digests pin, on every group the McKay tests use, the exact character
 table, McKay multiplicities and McKay graph that the term-by-term Hermitian
@@ -8,6 +9,7 @@ each is the first 16 hex digits of the SHA-256 of the repr of
 vertices)).
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -139,3 +141,15 @@ def test_a_function_at_another_conductor_is_lifted_for_the_pair():
     lifted = ClassFunction(tuple(v.lift(48) for v in chi.values))
     assert inner_product(group, lifted, chi) == inner_product(group, chi, lifted) == 1
     assert chi.packed[0] == 24 and lifted.packed[0] == 48
+
+
+def test_a_phi_that_does_not_dominate_every_root_is_rejected(monkeypatch):
+    """generic_on_hyperplane bounds |w_i| by beta <= phi, which root_context
+    checks: with delta corrupted to (1, 1, 1, 0) on the A3 of cyclic:4,
+    phi = alpha_1 + alpha_2 is a root, but alpha_3 is not below it."""
+    spec = GroupSpec.parse("cyclic:4")
+    broken = dataclasses.replace(mckay.mckay_graph(spec), dims=(1, 1, 1, 0))
+    monkeypatch.setattr(mckay, "mckay_graph", lambda sp: broken)
+    mckay.root_context.cache_clear()
+    with pytest.raises(AssertionError, match="not below it coefficientwise"):
+        mckay.root_context(spec)
