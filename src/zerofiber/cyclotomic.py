@@ -420,6 +420,9 @@ class Cyc:
     def __eq__(self, other):
         if type(other) is Cyc and other.m == self.m:
             return self.num == other.num and self.den == other.den
+        if type(other) is int:  # canonical form: an integer is num[0] over den 1
+            num = self.num
+            return self.den == 1 and num[0] == other and not any(num[1:])
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.as_rational() == other
         if not isinstance(other, Cyc):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import add, eq, le, mul
 
@@ -38,7 +38,11 @@ class McKayGraph:
     def size(self) -> int:
         return len(self.dims)
 
+    @cached_property
     def affine_cartan(self) -> tuple[tuple[int, ...], ...]:
+        """2 - m_ii on the diagonal and -m_ij off it, built once per graph.
+        Row i is the pairing vector ((alpha_i, alpha_j))_j of the simple root
+        alpha_i, so alpha -> alpha + alpha_i adds row i to alpha's."""
         n = self.size
         return tuple(
             tuple((2 if i == j else 0) - self.adjacency[i][j] for j in range(n))
@@ -146,13 +150,6 @@ class RootContext:
     def delta(self) -> Vector:
         return self.graph.dims
 
-    def pairing(self, alpha: Vector, beta: Vector) -> int:
-        """Symmetrized Cartan pairing (alpha, beta) = 2 alpha.beta - alpha^T A beta
-        in the simply-laced lattice, A the McKay adjacency."""
-        adj = self.graph.adjacency
-        cross = sum(a * sum(map(mul, row, beta)) for a, row in zip(alpha, adj) if a)
-        return 2 * sum(map(mul, alpha, beta)) - cross
-
 
 @lru_cache(maxsize=None)
 def root_context(spec: GroupSpec) -> RootContext:
@@ -166,29 +163,33 @@ def root_context(spec: GroupSpec) -> RootContext:
     support has (beta, alpha_i) > 0, so (beta, alpha_i) = 1 in a simply-laced
     system, and beta - alpha_i = s_i beta is a positive root one step below
     with (beta - alpha_i, alpha_i) = -1 (Humphreys, Lie algebras, 10.2).
+
+    Each root carries its pairing vector ((alpha, alpha_j))_j through the
+    orbit: a step by alpha_i adds row i of the Cartan matrix.  So every
+    (alpha, alpha_i) is read, not summed, and (alpha, alpha) = sum_i k_i
+    (alpha, alpha_i) = 2 is checked in O(r).
     """
     graph = mckay_graph(spec)
     if graph.affine_type == "A0(1)":
         raise ValueError("cyclic(1) gives the degenerate A0 diagram; no finite root system")
     n = graph.size
     finite = tuple(range(1, n))
-    edges = [[(j, m) for j, m in enumerate(row) if m] for row in graph.adjacency]
+    cartan = graph.affine_cartan
 
-    def up(alpha: Vector) -> list[Vector]:  # the s_i alpha with (alpha, alpha_i) = -1
-        return [alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:] for i in finite
-                if 2 * alpha[i] - sum(m * alpha[j] for j, m in edges[i]) == -1]
+    def up(root: tuple[Vector, Vector]) -> list[tuple[Vector, Vector]]:
+        alpha, pair = root  # the s_i alpha with (alpha, alpha_i) = -1, and their pairings
+        return [(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], tuple(map(add, pair, cartan[i])))
+                for i in finite if pair[i] == -1]
 
-    simple = [tuple(int(j == i) for j in range(n)) for i in finite]
-    positive = tuple(sorted(orbit(simple, up)))
+    roots = orbit([(tuple(int(j == i) for j in range(n)), cartan[i]) for i in finite], up)
+    positive = tuple(sorted(alpha for alpha, _ in roots))
     phi = tuple(d - (1 if i == 0 else 0) for i, d in enumerate(graph.dims))
     if phi not in positive or not all(all(map(le, beta, phi)) for beta in positive):
         raise AssertionError("phi = delta - alpha_0 is not the highest root: some positive "
                              "root is not below it coefficientwise")
-    ctx = RootContext(graph, positive, phi)
-    for alpha in positive:
-        if ctx.pairing(alpha, alpha) != 2:
-            raise AssertionError("finite positive root with (alpha, alpha) != 2")
-    return ctx
+    if any(_idot(alpha, pair) != 2 for alpha, pair in roots):
+        raise AssertionError("finite positive root with (alpha, alpha) != 2")
+    return RootContext(graph, positive, phi)
 
 
 def vector_dim(graph: McKayGraph, v: Vector) -> int:
@@ -270,13 +271,17 @@ def _highest_root(graph: McKayGraph, j: int, barred: set[int]) -> Vector:
     alpha_i while some free i has (beta, alpha_i) = -1.  A free i off C_j
     pairs to 0, so the climb stays in C_j and ends at a root dominant there.
     In a simply-laced irreducible system the roots form one Weyl orbit, and
-    an orbit meets the dominant chamber once (Humphreys, 10.3-10.4)."""
+    an orbit meets the dominant chamber once (Humphreys, 10.3-10.4).  beta
+    carries its pairing vector as in ``root_context``."""
+    cartan = graph.affine_cartan
     beta = [int(v == j) for v in range(graph.size)]
+    pair = cartan[j]
     free = [i for i in range(1, graph.size) if i not in barred]
     while True:
         for i in free:
-            if 2 * beta[i] - sum(map(mul, graph.adjacency[i], beta)) == -1:
+            if pair[i] == -1:
                 beta[i] += 1
+                pair = tuple(map(add, pair, cartan[i]))
                 break
         else:
             return tuple(beta)

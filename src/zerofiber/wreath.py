@@ -9,9 +9,11 @@ transposition whose two entries multiply to 1, or the identity permutation
 with a single entry in Delta - {1}) in O(N), with no scan of W.  The proof
 that each is a reflection is in the docstring of ``reflections``, and each
 is also confirmed by the complex-codimension-2 kernel rank in the
-2n-dimensional complex restriction.  r - 1 vanishes on every row and column
-of a coordinate that r neither permutes nor scales, so that rank is taken on
-the moved coordinates only: a 2 x 2 block for type b and 4 x 4 for type a.
+2n-dimensional complex restriction.  That rank is read off the cycles of the
+permutation, with no elimination: a cycle of length l whose holonomy (the
+ordered product of its 2 x 2 group matrices) is P contributes
+2(l - 1) + rank(P - 1).  For type b that is the 1-cycle with P = delta, and
+for type a the 2-cycle with P = gamma gamma^{-1}.
 The hyperplanes are built from the same shapes: the type-b reflections at
 coordinate p share {x_p = 0}, and each type-a reflection has its own.  Both
 counts are checked against their closed forms N and N*.  The appendix
@@ -19,7 +21,7 @@ identities are read off the same shapes, by integer counts, sums of group
 matrices and integer keys of flats; no quaternion is formed.  Whether W
 acts irreducibly on H^n is read off (n, |Gamma|, |Delta|) by a proven
 closed form.  Tests certify on small groups that the enumeration equals a
-scan of W, that the block rank equals the full 2n x 2n rank, that the
+scan of W, that the cycle rule equals the full 2n x 2n rank, that the
 hyperplanes equal a deduplication of every reflection's normal by its
 exact key, that the closed form equals a search for a W-stable subspace,
 and that the appendix verdicts equal those of the quaternionic computation.
@@ -33,8 +35,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .cyclotomic import Cyc
-from .groups import FiniteGroup, Subgroup
-from .linalg import rank
+from .groups import FiniteGroup, Subgroup, mat_mul2
 
 
 class MonomialElement(NamedTuple):
@@ -87,29 +88,42 @@ class WreathContext:
                    Cyc.zero(self.group.conductor))
 
     def complex_codim_of_fix(self, el: MonomialElement) -> int:
-        """rank over C of (r - 1) on the 2n-dimensional complex restriction.
+        """rank over C of (r - 1) on the 2n-dimensional complex restriction,
+        as the sum over the cycles of el.perm of 2(l - 1) + rank(P - 1), where
+        l is the cycle's length and P its holonomy.
 
-        Only the coordinates that el moves (perm[i] != i, or gammas[i] not
-        the identity) enter: on any other coordinate i, row i and column i of r - 1 are
-        zero, so dropping them keeps the rank.  The moved coordinates are
-        closed under perm.  On them, r is the block matrix whose block at
-        (w(j), j) is the complex embedding of q(gamma_{w(j)}), which is the
-        group element's own 2 x 2 matrix.
+        r sends block j to block w(j) through gamma_{w(j)}, the group
+        element's own 2 x 2 matrix, so r - 1 is block diagonal over the cycles
+        of w.  On a cycle j_0 -> j_1 -> ... -> j_{l-1} -> j_0, with
+        j_{k+1} = w(j_k), it is block cyclic-bidiagonal: -1 at (j_k, j_k) and
+        gamma_{j_{k+1}} at (j_{k+1}, j_k).  Block elimination clears block row
+        j_0: add gamma_{j_0} times block row j_{l-1}, then the product so far
+        times block row j_{l-2}, and so on down to j_1.  That leaves P - 1 at
+        (j_0, j_0) and zeros elsewhere in the row, with the holonomy
+        P = gamma_{j_0} gamma_{j_{l-1}} ... gamma_{j_1}, while rows j_1 ..
+        j_{l-1} keep l - 1 invertible -1 pivots.  A 2 x 2 matrix has rank 0
+        when it is zero, 2 when its determinant is not, and 1 otherwise.  A
+        coordinate that w fixes with gamma = 1 has P - 1 = 0 and is skipped.
         """
-        moved = [i for i in range(self.n) if el.perm[i] != i or el.gammas[i] != 0]
-        pos = {i: 2 * k for k, i in enumerate(moved)}
-        m = self.group.conductor
-        zero, one = Cyc.zero(m), Cyc.one(m)
-        size = 2 * len(moved)
-        mat = [[zero] * size for _ in range(size)]
-        for j in moved:
-            i = el.perm[j]
-            r, s = pos[i], pos[j]
-            a, b, c, d = self.group.elements[el.gammas[i]]
-            mat[r][s], mat[r][s + 1], mat[r + 1][s], mat[r + 1][s + 1] = a, b, c, d
-        for k in range(size):
-            mat[k][k] = mat[k][k] - one
-        return rank(tuple(tuple(row) for row in mat))
+        elements, perm, gammas = self.group.elements, el.perm, el.gammas
+        one = Cyc.one(self.group.conductor)
+        seen = [False] * self.n
+        total = 0
+        for start in range(self.n):
+            if seen[start] or (perm[start] == start and gammas[start] == 0):
+                continue
+            seen[start] = True
+            j = perm[start]
+            hol, length = elements[gammas[j]], 1
+            while j != start:  # hol = gamma_{perm[j]} hol along the cycle
+                seen[j] = True
+                j = perm[j]
+                hol = mat_mul2(elements[gammas[j]], hol)
+                length += 1
+            a, b, c, d = hol
+            a, d = a - one, d - one
+            total += 2 * (length - 1) + (0 if not (a or b or c or d) else 2 if a * d - b * c else 1)
+        return total
 
 
 class Reflection(NamedTuple):
@@ -136,8 +150,13 @@ def reflections(ctx: WreathContext) -> list[Reflection]:
       -gamma^{-1} times the first, which is nonzero.
 
     Each one is also confirmed at run time by the complex-codimension-2
-    kernel rank of that block, and the count is checked against
-    N = C(n, 2)|Gamma| + n(|Delta| - 1).
+    kernel rank of r - 1, which ``WreathContext.complex_codim_of_fix`` reads
+    off the cycles of r with no elimination: type b is one 1-cycle with
+    holonomy delta, so rank(delta - 1) = 2; type a is one 2-cycle with
+    holonomy gamma gamma^{-1}, so 2(2 - 1) + rank(0) = 2.  The rank is read
+    off the matrices themselves, not off the proof above: a matrix outside
+    SU(2) such as [[1, 1], [0, 1]] gives rank(P - 1) = 1 and fails.  The
+    count is checked against N = C(n, 2)|Gamma| + n(|Delta| - 1).
     """
     group, sub, n = ctx.group, ctx.sub, ctx.n
     ident = tuple(range(n))

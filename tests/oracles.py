@@ -36,6 +36,8 @@ by ``all_roots_with_pairing_zero``: the re-check that the integer bound in
 ``mckay.generic_on_hyperplane`` replaced.  ``alpha_string_positive_roots``
 grows the positive roots by the length of each alpha-string, where
 ``mckay.root_context`` adds alpha_i exactly when (alpha, alpha_i) = -1;
+``pairing`` is the symmetrized Cartan pairing from the adjacency, where
+``root_context`` carries each root's pairing vector along its orbit;
 ``prime_retry_generic_on_hyperplane`` is the search over ten primes and
 quadratic candidates that the explicit construction of
 ``mckay.generic_on_hyperplane`` replaced.
@@ -697,7 +699,7 @@ def alpha_string_positive_roots(graph: McKayGraph) -> tuple[tuple[int, ...], ...
     time."""
     n = graph.size
     finite = range(1, n)
-    cartan = graph.affine_cartan()
+    cartan = graph.affine_cartan
     roots = {tuple(int(j == i) for j in range(n)) for i in finite}
     frontier = set(roots)
     while frontier:
@@ -719,6 +721,13 @@ def alpha_string_positive_roots(graph: McKayGraph) -> tuple[tuple[int, ...], ...
                         nxt.add(up)
         frontier = nxt
     return tuple(sorted(roots))
+
+
+def pairing(graph: McKayGraph, alpha: Vector, beta: Vector) -> int:
+    """Symmetrized Cartan pairing (alpha, beta) = 2 alpha.beta - alpha^T A beta
+    in the simply-laced lattice, A the McKay adjacency."""
+    cross = sum(a * sum(map(mul, row, beta)) for a, row in zip(alpha, graph.adjacency) if a)
+    return 2 * sum(map(mul, alpha, beta)) - cross
 
 
 def cleared(c: tuple[Fraction, ...]) -> tuple[Vector, int]:

@@ -159,6 +159,25 @@ def test_hermitian_dot_at_the_slot_bound_raises():
         hermitian_dot([1], a, b)
 
 
+@pytest.mark.parametrize("m", CONDUCTORS)
+@PER_CONDUCTOR
+@given(data=st.data())
+def test_equality_with_an_int_agrees_with_fraction_equality(m, data):
+    """The int path of Cyc.__eq__ agrees with the Fraction path and with the
+    sympy model, on integer, rational non-integer and irrational values,
+    against the value's own rational part and against other integers."""
+    k0 = data.draw(st.integers(-30, 30))
+    value = data.draw(st.sampled_from([
+        Cyc.rational(k0, m),
+        Cyc.rational(Fraction(k0, data.draw(st.integers(2, 12))), m),
+        data.draw(cycs(m)),
+        Cyc(m, data.draw(cycs(m)).num, 1),
+    ]))
+    for k in (k0, value.num[0], data.draw(st.integers(-30, 30))):
+        expected = to_sympy(value) == Poly(k, X, domain=QQ)
+        assert (value == k) is (value == Fraction(k)) is (k == value) is expected
+
+
 @pytest.mark.parametrize("m", [1, 16, 20, 24, 28, 30])
 @PER_CONDUCTOR
 @given(data=st.data())

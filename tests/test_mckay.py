@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (all_roots_with_pairing_zero, alpha_string_positive_roots, cleared,
-                     pairwise_maximal, power, prime_retry_generic_on_hyperplane, sigma_c)
+                     pairing, pairwise_maximal, power, prime_retry_generic_on_hyperplane,
+                     sigma_c)
 from zerofiber import characters, mckay
 from zerofiber.characters import (ClassFunction, character_table, defining_character,
                                   inner_product)
@@ -59,7 +60,7 @@ def test_delta_spans_cartan_kernel():
     # (2 Id - M) delta = 0 is asserted at construction; spot-check here
     for spec in ["cyclic:4", "bd:3", "bo", "bi"]:
         g = mckay_graph(S(spec))
-        cartan = g.affine_cartan()
+        cartan = g.affine_cartan
         n = g.size
         for i in range(n):
             assert sum(cartan[i][j] * g.dims[j] for j in range(n)) == 0
@@ -100,7 +101,7 @@ def test_cyclic1_rejected():
 def test_root_normalization():
     ctx = root_context(S("bt"))
     for alpha in ctx.positive_roots:
-        assert ctx.pairing(alpha, alpha) == 2
+        assert pairing(ctx.graph, alpha, alpha) == 2
 
 
 def test_dimension_functional():
@@ -352,7 +353,7 @@ def test_each_positive_root_has_orbit_depth_its_height_minus_one(spec):
     simple = [tuple(int(j == i) for j in range(ctx.graph.size)) for i in range(1, ctx.graph.size)]
 
     def up(alpha):
-        return [tuple(map(sum, zip(alpha, e))) for e in simple if ctx.pairing(alpha, e) == -1]
+        return [tuple(map(sum, zip(alpha, e))) for e in simple if pairing(ctx.graph, alpha, e) == -1]
 
     depth = orbit(simple, up)
     assert sorted(depth) == list(ctx.positive_roots)

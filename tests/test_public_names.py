@@ -15,7 +15,6 @@ SOURCES = sorted((ROOT / "src" / "zerofiber").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))
 
 ALLOWED = {
-    "affine_cartan": "reference code in tests/oracles.py",
     "contains": "reference code in tests/oracles.py",
     "appendix_checks": "the tested entry point of the appendix identities",
 }

@@ -1,17 +1,20 @@
+import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import (alpha_of, identity, key_bucketed_hyperplanes, mat_mul, monomial_elements,
+from oracles import (alpha_of, identity, invariant_dim, key_bucketed_hyperplanes, mat_mul,
+                     monomial_elements,
                      quat_matrix_embed, quaternion_matrix, quaternionic_appendix_identities,
                      quaternionic_pairing_sums, row_times, rref,
                      stability_search_is_irreducible, structural_fix_codim)
 from test_linalg import column_rref_key, rand_quat
 from zerofiber import linalg, wreath
 from zerofiber.cyclotomic import Cyc
-from zerofiber.groups import GroupSpec, build_group, resolve_subgroup
+from zerofiber.groups import GroupSpec, Subgroup, build_group, resolve_subgroup
 from zerofiber.linalg import quat_row_key
 from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import (
@@ -80,7 +83,8 @@ def bucketed_normals(ctx: WreathContext) -> list:
 
 def dense_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
     """rank of r - 1 on the full 2n-dimensional complex restriction: the
-    dense computation that the block rank on the moved coordinates replaced."""
+    dense computation that the cycle rule of ``complex_codim_of_fix``
+    replaced."""
     emb = quat_matrix_embed(quaternion_matrix(ctx, el))
     one = Cyc.one(ctx.group.conductor)
     shifted = tuple(tuple(v - one if i == j else v for j, v in enumerate(row))
@@ -172,7 +176,7 @@ def test_iterator_counts_match_formula():
 
 def test_structural_codim_equals_kernel_codim_bruteforce():
     # the structural criterion is exactly half the complex codimension, and
-    # the block rank equals the dense rank, element by element, on groups
+    # the cycle rule equals the dense rank, element by element, on groups
     # small enough to brute force (|W| <= 1152)
     for gamma, delta, n in [("cyclic:2", "whole", 2), ("cyclic:3", "whole", 2),
                             ("bd:1", "whole", 2), ("cyclic:2", "whole", 3),
@@ -182,6 +186,82 @@ def test_structural_codim_equals_kernel_codim_bruteforce():
         for el in monomial_elements(c):
             assert (2 * structural_fix_codim(c, el) == c.complex_codim_of_fix(el)
                     == dense_codim_of_fix(c, el))
+
+
+def random_element(ctx: WreathContext, rng: random.Random,
+                   perm: tuple[int, ...] | None = None) -> MonomialElement:
+    """A seeded random element of W, with a random permutation unless one is
+    given: n - 1 entries at random, and the last one completing a random
+    product in Delta."""
+    group, n = ctx.group, ctx.n
+    head = [rng.randrange(group.order) for _ in range(n - 1)]
+    prod = 0
+    for g in head:
+        prod = group.mult[prod][g]
+    last = group.mult[group.inv[prod]][rng.choice(ctx.sub.indices)]
+    return MonomialElement(perm or tuple(rng.sample(range(n), n)), tuple(head) + (last,))
+
+
+@pytest.mark.parametrize("gamma,delta,n", [("bo", "whole", 3), ("bi", "comm", 3),
+                                           ("bt", "whole", 4)])
+def test_cycle_rule_equals_the_dense_rank_beyond_enumeration(gamma, delta, n):
+    """On seeded random elements of groups too big to list, and on 3-cycles
+    whose holonomy gamma_0 gamma_2 gamma_1 is 1 while gamma_1 gamma_2 gamma_0
+    need not be, so that the order of the product matters."""
+    c = ctx_of(gamma, delta, n)
+    rng = random.Random(83)
+    mult, inv = c.group.mult, c.group.inv
+    cycle = (1, 2, 0) + tuple(range(3, n))  # 0 -> 1 -> 2 -> 0
+    elements = [random_element(c, rng) for _ in range(30)]
+    elements += [random_element(c, rng, cycle) for _ in range(10)]
+    for _ in range(10):
+        g1, g2 = rng.randrange(c.group.order), rng.randrange(c.group.order)
+        rest = tuple(rng.randrange(c.group.order) for _ in range(n - 3))
+        elements.append(MonomialElement(cycle, (inv[mult[g2][g1]], g1, g2) + rest))
+    seen = set()
+    for el in elements:
+        codim = c.complex_codim_of_fix(el)
+        assert codim == dense_codim_of_fix(c, el) == 2 * structural_fix_codim(c, el), el
+        if el.perm[:3] == cycle[:3]:
+            seen.add(codim - 2 * sum(el.perm[i] != i or el.gammas[i] != 0 for i in range(3, n)))
+    assert {4, 6} <= seen  # holonomy 1 and not 1 on the 3-cycle
+
+
+def block_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
+    """rank of r - 1 from the dense 2n x 2n matrix with the group's 2 x 2
+    matrix gamma_{w(j)} at block (w(j), j), whatever those matrices are."""
+    m, size = ctx.group.conductor, 2 * ctx.n
+    mat = [[Cyc.zero(m)] * size for _ in range(size)]
+    for j, i in enumerate(el.perm):
+        block = ctx.group.elements[el.gammas[i]]
+        for a, b in itertools.product(range(2), repeat=2):
+            mat[2 * i + a][2 * j + b] = block[2 * a + b]
+    for k in range(size):
+        mat[k][k] = mat[k][k] - Cyc.one(m)
+    return len(rref(tuple(map(tuple, mat)))[1])
+
+
+def test_a_corrupt_element_fails_the_kernel_confirmation():
+    """Replace one element's matrix by [[1, 1], [0, 1]], which is in no SU(2):
+    every cycle whose holonomy is that matrix has rank(P - 1) = 1, the cycle
+    rule still equals the dense rank, and ``reflections`` raises."""
+    group = build_group(GroupSpec.parse("bd:3"))
+    m, k = group.conductor, 5
+    one, zero = Cyc.one(m), Cyc.zero(m)
+    elements = list(group.elements)
+    elements[k] = (one, one, zero, one)
+    corrupt = dataclasses.replace(group, elements=elements)
+    c = WreathContext(corrupt, Subgroup(corrupt, "whole", tuple(range(group.order))), 3)
+    for perm, length in [((0, 1, 2), 1), ((1, 0, 2), 2), ((1, 2, 0), 3)]:
+        el = MonomialElement(perm, (k, 0, 0))
+        assert c.complex_codim_of_fix(el) == 2 * (length - 1) + 1 == block_codim_of_fix(c, el)
+    with pytest.raises(AssertionError, match="kernel confirmation"):
+        reflections(c)
+    # the uncorrupted group passes, and the dense oracle agrees with the rule
+    honest = ctx_of("bd:3", "whole", 3)
+    assert len(reflections(honest)) == 3 * group.order + 3 * (group.order - 1)
+    for el in [random_element(honest, random.Random(5)) for _ in range(5)]:
+        assert honest.complex_codim_of_fix(el) == block_codim_of_fix(honest, el)
 
 
 def test_row_times_equals_the_dense_product():
@@ -471,10 +551,11 @@ def test_closed_form_irreducibility_equals_the_stability_search(gamma, ranks):
 
 def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
     """numerology and appendix_checks on every catalogue (Gamma, Delta, n <= 3)
-    make no quaternionic elimination and form no quaternion; both counters
-    do see the quaternionic appendix oracle's."""
-    eliminations, quaternions = [], []
-    real_key, real_init = linalg.quat_rref_key, Quaternion.__init__
+    make no quaternionic elimination, no exact rank and form no quaternion;
+    each counter does see its oracle's: the quaternionic appendix identities
+    and the Reynolds rank of ``oracles.invariant_dim``."""
+    eliminations, quaternions, ranks = [], [], []
+    real_key, real_init, real_rank = linalg.quat_rref_key, Quaternion.__init__, linalg.rank
 
     def counted_key(rows):
         eliminations.append(len(rows))
@@ -484,8 +565,16 @@ def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
         quaternions.append(1)
         real_init(self, z1, z2)
 
+    def counted_rank(mat):
+        ranks.append(len(mat))
+        return real_rank(mat)
+
     monkeypatch.setattr(linalg, "quat_rref_key", counted_key)
     monkeypatch.setattr(Quaternion, "__init__", counted_init)
+    # also in any module that imported rank by name
+    for module in [m for name, m in sys.modules.items() if name.startswith("zerofiber")]:
+        if getattr(module, "rank", None) is real_rank:
+            monkeypatch.setattr(module, "rank", counted_rank)
     for gamma in CATALOGUE:
         g = build_group(GroupSpec.parse(gamma))
         for delta in deltas_of(gamma):
@@ -494,9 +583,11 @@ def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
                 c = WreathContext(g, sub, n)
                 numerology(c)
                 appendix_checks(c)
-    assert (eliminations, quaternions) == ([], [])
+    assert (eliminations, quaternions, ranks) == ([], [], [])
     quaternionic_appendix_identities(ctx_of("cyclic:2", "whole", 2))
     assert eliminations and quaternions
+    invariant_dim(build_group(GroupSpec.parse("cyclic:3")), 3)
+    assert ranks
 
 
 def meet_partition(pairs, key_of) -> set[frozenset]:
