@@ -167,7 +167,9 @@ def root_context(spec: GroupSpec) -> RootContext:
     Each root carries its pairing vector ((alpha, alpha_j))_j through the
     orbit: a step by alpha_i adds row i of the Cartan matrix.  So every
     (alpha, alpha_i) is read, not summed, and (alpha, alpha) = sum_i k_i
-    (alpha, alpha_i) = 2 is checked in O(r).
+    (alpha, alpha_i) = 2 is checked in O(r).  A vector is dropped once its
+    root is expanded: the orbit expands the roots by height, so a step never
+    reaches an expanded root, and only the frontier's vectors are held.
     """
     graph = mckay_graph(spec)
     if graph.affine_type == "A0(1)":
@@ -175,20 +177,27 @@ def root_context(spec: GroupSpec) -> RootContext:
     n = graph.size
     finite = tuple(range(1, n))
     cartan = graph.affine_cartan
+    simple = [tuple(int(j == i) for j in range(n)) for i in finite]
+    pairs = dict(zip(simple, cartan[1:]))
 
-    def up(root: tuple[Vector, Vector]) -> list[tuple[Vector, Vector]]:
-        alpha, pair = root  # the s_i alpha with (alpha, alpha_i) = -1, and their pairings
-        return [(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], tuple(map(add, pair, cartan[i])))
-                for i in finite if pair[i] == -1]
+    def up(alpha: Vector) -> list[Vector]:  # the s_i alpha with (alpha, alpha_i) = -1
+        pair = pairs.pop(alpha)
+        if _idot(alpha, pair) != 2:
+            raise AssertionError("finite positive root with (alpha, alpha) != 2")
+        out = []
+        for i in finite:
+            if pair[i] == -1:
+                beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                if beta not in pairs:  # a list: freed short tuples stay on CPython's free lists
+                    pairs[beta] = list(map(add, pair, cartan[i]))
+                out.append(beta)
+        return out
 
-    roots = orbit([(tuple(int(j == i) for j in range(n)), cartan[i]) for i in finite], up)
-    positive = tuple(sorted(alpha for alpha, _ in roots))
+    positive = tuple(sorted(orbit(simple, up)))
     phi = tuple(d - (1 if i == 0 else 0) for i, d in enumerate(graph.dims))
     if phi not in positive or not all(all(map(le, beta, phi)) for beta in positive):
         raise AssertionError("phi = delta - alpha_0 is not the highest root: some positive "
                              "root is not below it coefficientwise")
-    if any(_idot(alpha, pair) != 2 for alpha, pair in roots):
-        raise AssertionError("finite positive root with (alpha, alpha) != 2")
     return RootContext(graph, positive, phi)
 
 
@@ -281,7 +290,7 @@ def _highest_root(graph: McKayGraph, j: int, barred: set[int]) -> Vector:
         for i in free:
             if pair[i] == -1:
                 beta[i] += 1
-                pair = tuple(map(add, pair, cartan[i]))
+                pair = list(map(add, pair, cartan[i]))
                 break
         else:
             return tuple(beta)

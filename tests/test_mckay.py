@@ -353,7 +353,8 @@ def test_each_positive_root_has_orbit_depth_its_height_minus_one(spec):
     simple = [tuple(int(j == i) for j in range(ctx.graph.size)) for i in range(1, ctx.graph.size)]
 
     def up(alpha):
-        return [tuple(map(sum, zip(alpha, e))) for e in simple if pairing(ctx.graph, alpha, e) == -1]
+        return [tuple(map(sum, zip(alpha, e))) for e in simple
+                if pairing(ctx.graph, alpha, e) == -1]
 
     depth = orbit(simple, up)
     assert sorted(depth) == list(ctx.positive_roots)
