@@ -420,11 +420,11 @@ class Cyc:
     def __eq__(self, other):
         if type(other) is Cyc and other.m == self.m:
             return self.num == other.num and self.den == other.den
-        if type(other) is int:  # canonical form: an integer is num[0] over den 1
-            num = self.num
-            return self.den == 1 and num[0] == other and not any(num[1:])
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
+            # Both forms are in lowest terms with den > 0: compare the parts.
+            num = self.num
+            return (self.den == other.denominator and num[0] == other.numerator
+                    and not any(num[1:]))
         if not isinstance(other, Cyc):
             return NotImplemented
         a, b = self._pair(other)

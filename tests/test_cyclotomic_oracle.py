@@ -163,19 +163,28 @@ def test_hermitian_dot_at_the_slot_bound_raises():
 @PER_CONDUCTOR
 @given(data=st.data())
 def test_equality_with_an_int_agrees_with_fraction_equality(m, data):
-    """The int path of Cyc.__eq__ agrees with the Fraction path and with the
-    sympy model, on integer, rational non-integer and irrational values,
-    against the value's own rational part and against other integers."""
+    """Cyc.__eq__ compares a rational operand by its numerator and
+    denominator.  An int, a bool and the equal Fraction give the same answer
+    as the sympy model, on integer, rational non-integer and irrational
+    values, against the value's own rational part and against other
+    rationals."""
     k0 = data.draw(st.integers(-30, 30))
+    d0 = data.draw(st.integers(2, 12))
     value = data.draw(st.sampled_from([
         Cyc.rational(k0, m),
-        Cyc.rational(Fraction(k0, data.draw(st.integers(2, 12))), m),
+        Cyc.rational(Fraction(k0, d0), m),
         data.draw(cycs(m)),
         Cyc(m, data.draw(cycs(m)).num, 1),
     ]))
-    for k in (k0, value.num[0], data.draw(st.integers(-30, 30))):
+    for k in (k0, value.num[0], data.draw(st.integers(-30, 30)), 0, 1):
         expected = to_sympy(value) == Poly(k, X, domain=QQ)
         assert (value == k) is (value == Fraction(k)) is (k == value) is expected
+        if k in (0, 1):
+            assert (value == bool(k)) is expected
+    for q in (Fraction(k0, d0), Fraction(value.num[0], value.den),
+              Fraction(data.draw(st.integers(-30, 30)), data.draw(st.integers(1, 12)))):
+        expected = to_sympy(value) == Poly(Rational(q.numerator, q.denominator), X, domain=QQ)
+        assert (value == q) is (q == value) is expected
 
 
 @pytest.mark.parametrize("m", [1, 16, 20, 24, 28, 30])
