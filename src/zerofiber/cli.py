@@ -4,11 +4,12 @@
 
 prints the N / N* / g / h / k report of W_N(GAMMA, DELTA) as one JSON
 object, with the wall seconds of each stage: building the reflections from
-their shapes with the kernel rank of each, building the hyperplanes from
-their shapes, and the closed forms for g and for irreducibility (the stage
-keyed ``irreducibility``).  GAMMA is a group spec such as ``bt`` or
-``cyclic:4``; DELTA is ``whole``, ``comm``, ``cyc2`` or ``gens:`` with
-comma-separated element indices, as ``resolve_subgroup`` reads it.
+their shapes, each confirmed by the kernel rank of r - 1 on its own 2 x 2
+block, building the hyperplanes from their shapes, and the closed forms for
+g and for irreducibility (the stage keyed ``irreducibility``).  GAMMA is a
+group spec such as ``bt`` or ``cyclic:4``; DELTA is ``whole``, ``comm``,
+``cyc2`` or ``gens:`` with comma-separated element indices, as
+``resolve_subgroup`` reads it.
 
     zerofiber appendix GAMMA DELTA N
 

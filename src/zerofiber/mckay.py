@@ -274,28 +274,6 @@ def _linear_trivial_on(spec: GroupSpec, sub: Subgroup) -> tuple[int, ...]:
                  if chi.degree == 1 and kernel_contains(sub.group, chi, sub))
 
 
-def _highest_root(graph: McKayGraph, j: int, barred: set[int]) -> Vector:
-    """theta_j, the highest root of the component C_j of j in the diagram
-    without 0 and ``barred``: the climb from alpha_j by s_i beta = beta +
-    alpha_i while some free i has (beta, alpha_i) = -1.  A free i off C_j
-    pairs to 0, so the climb stays in C_j and ends at a root dominant there.
-    In a simply-laced irreducible system the roots form one Weyl orbit, and
-    an orbit meets the dominant chamber once (Humphreys, 10.3-10.4).  beta
-    carries its pairing vector as in ``root_context``."""
-    cartan = graph.affine_cartan
-    beta = [int(v == j) for v in range(graph.size)]
-    pair = cartan[j]
-    free = [i for i in range(1, graph.size) if i not in barred]
-    while True:
-        for i in free:
-            if pair[i] == -1:
-                beta[i] += 1
-                pair = list(map(add, pair, cartan[i]))
-                break
-        else:
-            return tuple(beta)
-
-
 def _l_data(spec: GroupSpec, sub: Subgroup) -> tuple[RootContext, tuple[int, ...], Vector]:
     """The root context, the Gamma/Delta vertices (vertex 0 first) and alpha.
 
@@ -308,9 +286,12 @@ def _l_data(spec: GroupSpec, sub: Subgroup) -> tuple[RootContext, tuple[int, ...
     the component of j without 0 and J - {j}.  Its highest root theta_j has
     full support, so it is admissible and above every other root at j, while
     a root at j' != j has k_j = 0.  The maximal admissible roots are thus
-    the theta_j, one per j as alpha_j is admissible.  alpha is the theta_j
-    farthest from vertex 0, the lexicographically largest on a tie, and
-    sum_{i != 0} k_i n_i = 2|Delta| - 1 is verified, never assumed.
+    the theta_j, one per j as alpha_j is admissible.  In an irreducible root
+    system the highest root is the one root of greatest height (Humphreys,
+    10.4), so theta_j is the positive root of greatest height with k_j >= 1
+    and k_i = 0 for i in J - {j}, read off the root list.  alpha is the
+    theta_j farthest from vertex 0, the lexicographically largest on a tie,
+    and sum_{i != 0} k_i n_i = 2|Delta| - 1 is verified, never assumed.
     """
     ctx = root_context(spec)
     if sub.order == sub.group.order:
@@ -320,7 +301,13 @@ def _l_data(spec: GroupSpec, sub: Subgroup) -> tuple[RootContext, tuple[int, ...
     if not js:
         raise ValueError("no nontrivial linear character of Gamma/Delta")
     dist = ctx.graph.distance_from_zero()
-    _, alpha = max((dist[j], _highest_root(ctx.graph, j, js - {j})) for j in js)
+    in_js = [v in js for v in range(ctx.graph.size)]
+    theta: dict[int, Vector] = {}
+    for beta in ctx.positive_roots:
+        if sum(compress(beta, in_js)) == 1:  # one j in J has k_j = 1, as phi_j = 1
+            j = next(v for v in js if beta[v])
+            theta[j] = max(theta.get(j, beta), beta, key=sum)
+    _, alpha = max((dist[j], theta[j]) for j in js)
     total = sum(alpha[i] * ctx.graph.dims[i] for i in range(1, ctx.graph.size))
     if total != 2 * sub.order - 1:
         raise AssertionError(

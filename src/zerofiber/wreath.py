@@ -4,16 +4,14 @@ appendix integrality identities.
 
 An element is (w, gammas): the matrix diag(gamma_1..gamma_n) P_w, sending
 e_j to e_{w(j)} gamma_{w(j)}.  Membership requires gamma_1...gamma_n in
-Delta.  The reflections are built from their two proven shapes (a
-transposition whose two entries multiply to 1, or the identity permutation
-with a single entry in Delta - {1}) in O(N), with no scan of W.  The proof
-that each is a reflection is in the docstring of ``reflections``, and each
-is also confirmed by the complex-codimension-2 kernel rank in the
-2n-dimensional complex restriction.  That rank is read off the cycles of the
-permutation, with no elimination: a cycle of length l whose holonomy (the
-ordered product of its 2 x 2 group matrices) is P contributes
-2(l - 1) + rank(P - 1).  For type b that is the 1-cycle with P = delta, and
-for type a the 2-cycle with P = gamma gamma^{-1}.
+Delta.  A reflection is held as its shape (kind, p, q, gamma), one of two:
+a transposition (p q) with entries gamma and gamma^{-1} (type a), or the
+identity permutation with a single entry delta in Delta - {1} at p (type
+b).  The reflections are built from these shapes in O(N), with no scan of
+W.  The proof that each is a reflection is in the docstring of
+``reflections``, and each is also confirmed on its own 2 x 2 block by the
+complex-codimension-2 kernel rank of r - 1: rank(delta - 1) = 2 for type b,
+and 2 + rank(gamma gamma^{-1} - 1) = 2 for type a.
 The hyperplanes are built from the same shapes: the type-b reflections at
 coordinate p share {x_p = 0}, and each type-a reflection has its own.  Both
 counts are checked against their closed forms N and N*.  The appendix
@@ -21,7 +19,7 @@ identities are read off the same shapes, by integer counts, sums of group
 matrices and integer keys of flats; no quaternion is formed.  Whether W
 acts irreducibly on H^n is read off (n, |Gamma|, |Delta|) by a proven
 closed form.  Tests certify on small groups that the enumeration equals a
-scan of W, that the cycle rule equals the full 2n x 2n rank, that the
+scan of W, that the block rank equals the full 2n x 2n rank, that the
 hyperplanes equal a deduplication of every reflection's normal by its
 exact key, that the closed form equals a search for a W-stable subspace,
 and that the appendix verdicts equal those of the quaternionic computation.
@@ -30,17 +28,13 @@ and that the appendix verdicts equal those of the quaternionic computation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .cyclotomic import Cyc
 from .groups import FiniteGroup, Subgroup, mat_mul2
-
-
-class MonomialElement(NamedTuple):
-    perm: tuple[int, ...]    # perm[j] = image of j
-    gammas: tuple[int, ...]  # Gamma element indices, gammas[i] sits in row i
 
 
 @dataclass(frozen=True)
@@ -59,11 +53,7 @@ class WreathContext:
 
     @property
     def order(self) -> int:
-        g, d, n = self.group.order, self.sub.order, self.n
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        return g ** (n - 1) * d * fact
+        return self.group.order ** (self.n - 1) * self.sub.order * math.factorial(self.n)
 
     def raw_elements(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         group, sub, n = self.group, self.sub, self.n
@@ -79,55 +69,8 @@ class WreathContext:
                 for w in perms:
                     yield w, gammas
 
-    def complex_trace(self, el: MonomialElement) -> Cyc:
-        """tr_C(el) on the 2n-dimensional complex restriction.  Only the
-        diagonal blocks count, at the coordinates i with perm[i] = i, and
-        each is the 2 x 2 matrix of gamma_i itself."""
-        trace = self.group.trace
-        return sum((trace(g) for i, (w, g) in enumerate(zip(el.perm, el.gammas)) if w == i),
-                   Cyc.zero(self.group.conductor))
-
-    def complex_codim_of_fix(self, el: MonomialElement) -> int:
-        """rank over C of (r - 1) on the 2n-dimensional complex restriction,
-        as the sum over the cycles of el.perm of 2(l - 1) + rank(P - 1), where
-        l is the cycle's length and P its holonomy.
-
-        r sends block j to block w(j) through gamma_{w(j)}, the group
-        element's own 2 x 2 matrix, so r - 1 is block diagonal over the cycles
-        of w.  On a cycle j_0 -> j_1 -> ... -> j_{l-1} -> j_0, with
-        j_{k+1} = w(j_k), it is block cyclic-bidiagonal: -1 at (j_k, j_k) and
-        gamma_{j_{k+1}} at (j_{k+1}, j_k).  Block elimination clears block row
-        j_0: add gamma_{j_0} times block row j_{l-1}, then the product so far
-        times block row j_{l-2}, and so on down to j_1.  That leaves P - 1 at
-        (j_0, j_0) and zeros elsewhere in the row, with the holonomy
-        P = gamma_{j_0} gamma_{j_{l-1}} ... gamma_{j_1}, while rows j_1 ..
-        j_{l-1} keep l - 1 invertible -1 pivots.  A 2 x 2 matrix has rank 0
-        when it is zero, 2 when its determinant is not, and 1 otherwise.  A
-        coordinate that w fixes with gamma = 1 has P - 1 = 0 and is skipped.
-        """
-        elements, perm, gammas = self.group.elements, el.perm, el.gammas
-        one = Cyc.one(self.group.conductor)
-        seen = [False] * self.n
-        total = 0
-        for start in range(self.n):
-            if seen[start] or (perm[start] == start and gammas[start] == 0):
-                continue
-            seen[start] = True
-            j = perm[start]
-            hol, length = elements[gammas[j]], 1
-            while j != start:  # hol = gamma_{perm[j]} hol along the cycle
-                seen[j] = True
-                j = perm[j]
-                hol = mat_mul2(elements[gammas[j]], hol)
-                length += 1
-            a, b, c, d = hol
-            a, d = a - one, d - one
-            total += 2 * (length - 1) + (0 if not (a or b or c or d) else 2 if a * d - b * c else 1)
-        return total
-
 
 class Reflection(NamedTuple):
-    element: MonomialElement
     kind: str            # "a" or "b"
     p: int
     q: int               # q == p for kind "b"
@@ -150,36 +93,42 @@ def reflections(ctx: WreathContext) -> list[Reflection]:
       -gamma^{-1} times the first, which is nonzero.
 
     Each one is also confirmed at run time by the complex-codimension-2
-    kernel rank of r - 1, which ``WreathContext.complex_codim_of_fix`` reads
-    off the cycles of r with no elimination: type b is one 1-cycle with
-    holonomy delta, so rank(delta - 1) = 2; type a is one 2-cycle with
-    holonomy gamma gamma^{-1}, so 2(2 - 1) + rank(0) = 2.  The rank is read
-    off the matrices themselves, not off the proof above: a matrix outside
-    SU(2) such as [[1, 1], [0, 1]] gives rank(P - 1) = 1 and fails.  The
-    count is checked against N = C(n, 2)|Gamma| + n(|Delta| - 1).
+    kernel rank of r - 1, on the 2 x 2 blocks of the coordinates it moves.
+    Type b: rank(delta - 1) = 2.  Type a: adding gamma times block row q to
+    block row p leaves gamma gamma^{-1} - 1 at (p, p) and 0 at (p, q), beside
+    the invertible -1 at (q, q), so the rank is 2 + rank(gamma gamma^{-1} - 1)
+    = 2.  The rank is read off the group's matrices themselves, not off the
+    proof above: a matrix outside SU(2) such as [[1, 1], [0, 1]] as delta
+    gives rank 1, and a wrong inverse in ``group.inv`` makes
+    gamma gamma^{-1} - 1 nonzero; both fail.  The count is checked against
+    N = C(n, 2)|Gamma| + n(|Delta| - 1).
     """
     group, sub, n = ctx.group, ctx.sub, ctx.n
-    ident = tuple(range(n))
-    out: list[Reflection] = []
-    for p in range(n):
-        for d in sub.indices:
-            if d != 0:
-                gammas = (0,) * p + (d,) + (0,) * (n - 1 - p)
-                out.append(Reflection(MonomialElement(ident, gammas), "b", p, p, d))
-    for p, q in itertools.combinations(range(n), 2):
-        w = ident[:p] + (q,) + ident[p + 1:q] + (p,) + ident[q + 1:]
-        for g in range(group.order):
-            gammas = [0] * n
-            gammas[p], gammas[q] = g, group.inv[g]
-            out.append(Reflection(MonomialElement(w, tuple(gammas)), "a", p, q, g))
+    elements, inv = group.elements, group.inv
+    one = Cyc.one(group.conductor)
+    out = [Reflection("b", p, p, d) for p in range(n) for d in sub.indices if d != 0]
+    out += [Reflection("a", p, q, g)
+            for p, q in itertools.combinations(range(n), 2) for g in range(group.order)]
     for r in out:
-        if ctx.complex_codim_of_fix(r.element) != 2:
+        if r.kind == "b":
+            rank = _rank_minus_one(elements[r.gamma], one)
+        else:
+            rank = 2 + _rank_minus_one(mat_mul2(elements[r.gamma], elements[inv[r.gamma]]), one)
+        if rank != 2:
             raise AssertionError(f"candidate {r} fails the kernel confirmation")
     expected = n * (n - 1) // 2 * group.order + n * (sub.order - 1)
     if len(out) != expected:
         raise AssertionError(
             f"enumerated {len(out)} reflections, formula gives {expected}")
     return out
+
+
+def _rank_minus_one(mat: tuple[Cyc, ...], one: Cyc) -> int:
+    """rank of the 2 x 2 matrix mat - 1: 0 when it is zero, 2 when its
+    determinant is not, and 1 otherwise."""
+    a, b, c, d = mat
+    a, d = a - one, d - one
+    return 0 if not (a or b or c or d) else 2 if a * d - b * c else 1
 
 
 @dataclass(frozen=True)
@@ -337,7 +286,8 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
     quaternion u is read as its 2 x 2 group matrix, which is additive and
     multiplicative, with trace 2 Re u.
 
-    (i) sum_r tr_C(1 - r) = 2(N + N*), by the traces of the fixed coordinates.
+    (i) sum_r tr_C(1 - r) = 2(N + N*), with tr_C(r) read off the shape:
+    2(n - 1) + tr delta for type b and 2(n - 2) for type a.
 
     (ii) f = sum_H alpha_H (alpha_H, .) / (alpha_H, alpha_H) = (k/2) 1.  e_p
     adds 1 at (p, p); (p, q, gamma) adds 1/2 at (p, p) and (q, q), -gamma/2
@@ -372,13 +322,15 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
         raise AssertionError(failure)
 
     # (i)
-    acc_tr = sum((ctx.complex_trace(r.element) for r in refl), Cyc.zero(group.conductor))
-    total = 2 * n * N - acc_tr.as_rational()
+    traces = sum((group.trace(r.gamma) for r in refl if r.kind == "b"), Cyc.zero(group.conductor))
+    total = (2 * n * N - 2 * (n - 1) * report.count_b - 2 * (n - 2) * report.count_a
+             - traces.as_rational())
     if total != 2 * (N + Nstar):
         raise AssertionError(f"trace identity fails: {total} != {2 * (N + Nstar)}")
 
     # (ii)
-    b_at, a_through, _, sums = _tallies(group, n, shapes)
+    tallies = _tallies(group, n, shapes)
+    b_at, a_through, _, sums = tallies
     failure = ""
     if any(b_at[i] + Fraction(a_through[i], 2) != k / 2 for i in range(n)):
         failure = "f-operator identity fails on the diagonal"
@@ -388,7 +340,7 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
 
     # (iii)
     failure = next((f"pairing sum fails for a hyperplane: {2 * t} != {k}"
-                    for t in _pairing_sums(group, n, shapes) if 2 * t != k), "")
+                    for t in _pairing_sums(group, shapes, tallies) if 2 * t != k), "")
     pairing_verdict = verdict(failure)
 
     # (iv): the key of H cap K is computed once per unordered pair
@@ -424,8 +376,9 @@ def _tallies(group: FiniteGroup, n: int, shapes: list[Reflection]) -> tuple:
     return b_at, a_through, a_on, sums
 
 
-def _pairing_sums(group: FiniteGroup, n: int, shapes: list[Reflection]) -> list:
-    """sum_K t(H, K) over the hyperplanes K of the shapes, for each H, with
+def _pairing_sums(group: FiniteGroup, shapes: list[Reflection], tallies: tuple) -> list:
+    """sum_K t(H, K) over the hyperplanes K of the shapes, for each H, from
+    their ``_tallies``, with
     t(H, K) = |(alpha_K, alpha_H)|^2 / ((alpha_K, alpha_K)(alpha_H, alpha_H)):
     - 1 for K = H;
     - 1/2 for a type-b and a type-a hyperplane that share a coordinate, and
@@ -437,7 +390,7 @@ def _pairing_sums(group: FiniteGroup, n: int, shapes: list[Reflection]) -> list:
     By linearity of the trace the terms of the same pair sum to
     (2 #type-a on {p, q} + tr(S_pq gamma^-1))/4.
     """
-    b_at, a_through, a_on, sums = _tallies(group, n, shapes)
+    b_at, a_through, a_on, sums = tallies
     out = []
     for s in shapes:
         if s.kind == "b":

@@ -6,7 +6,11 @@ division that the division-free ``linalg.rank`` replaced; ``mat_mul`` and
 ``quat_matrix_embed`` build the dense quaternionic and complex matrices of a
 monomial element; ``structural_fix_codim`` reads the quaternionic
 codimension of an element's fixed space off its cycle structure, the
-criterion that the kernel rank certifies.  ``key_bucketed_hyperplanes`` is
+criterion that the kernel rank certifies.  ``MonomialElement`` is a general
+element of W, ``element_of`` builds one from a reflection's shape, and
+``complex_codim_of_fix`` is the cycle-holonomy rule for the kernel rank of
+any element, which the check of each reflection on its own 2 x 2 block in
+``wreath.reflections`` replaced.  ``key_bucketed_hyperplanes`` is
 the deduplication of the reflections' normals by exact row key that the
 construction of ``wreath.hyperplanes`` by shape replaced.
 ``stability_search_is_irreducible`` is the search for a W-stable hyperplane
@@ -25,8 +29,9 @@ quaternionic oracles use ``quaternion_basis``,
 closed-form and stored character tables that the McKay sieve replaced;
 ``element_order`` and ``power`` read what they need off the multiplication
 table.  ``pairwise_maximal`` is the O(c^2) maximality filter over the
-admissible roots that the highest roots theta_j of ``mckay._highest_root``
-replaced.  ``columns_are_orthogonal`` is the column
+admissible roots that the highest roots theta_j of ``mckay._l_data``
+replaced, and ``maximal_admissible_alpha`` picks alpha among the roots it
+keeps.  ``columns_are_orthogonal`` is the column
 half of the table check, which row orthonormality of a square table implies.
 ``hermitian_sum`` is the term-by-term Hermitian sum over coefficient pairs
 that the packed dot product of ``characters.hermitian_dot`` replaced.
@@ -70,20 +75,20 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from zerofiber import invariants, linalg
 from zerofiber.characters import ClassFunction, linear_characters, trivial_character
 from zerofiber.cyclotomic import (CONDUCTOR_CAP, ConductorError, Cyc, _power_rows, _reduced,
                                   euler_phi)
 from zerofiber.groebner import GroebnerBasis, buchberger
-from zerofiber.groups import FiniteGroup, GroupSpec, build_group
+from zerofiber.groups import FiniteGroup, GroupSpec, build_group, mat_mul2
 from zerofiber.invariants import fundamental_invariants, reynolds_many
 from zerofiber.linalg import CycMatrix, quat_row_key, quat_rref_key
 from zerofiber.mckay import McKayGraph, RootContext, Vector, _idot, dot
 from zerofiber.poly2 import Poly2
 from zerofiber.quaternion import Quaternion
-from zerofiber.wreath import (MonomialElement, Reflection, WreathContext, hyperplanes,
-                              numerology_report, reflections)
+from zerofiber.wreath import Reflection, WreathContext, hyperplanes, numerology_report, reflections
 
 
 def mat_mul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -195,6 +200,62 @@ def unit_quaternions(group: FiniteGroup) -> tuple[Quaternion, ...]:
         hit = _UNIT_QUATERNIONS[id(group)] = (
             group, tuple(quat_from_matrix(mat) for mat in group.elements))
     return hit[1]
+
+
+class MonomialElement(NamedTuple):
+    perm: tuple[int, ...]    # perm[j] = image of j
+    gammas: tuple[int, ...]  # Gamma element indices, gammas[i] sits in row i
+
+
+def element_of(ctx: WreathContext, r: Reflection) -> MonomialElement:
+    """The element of a reflection's shape: the identity permutation with
+    delta at p (type b), or the transposition (p q) with gamma at p and
+    gamma^{-1} at q (type a)."""
+    perm, gammas = list(range(ctx.n)), [0] * ctx.n
+    gammas[r.p] = r.gamma
+    if r.kind == "a":
+        perm[r.p], perm[r.q] = r.q, r.p
+        gammas[r.q] = ctx.group.inv[r.gamma]
+    return MonomialElement(tuple(perm), tuple(gammas))
+
+
+def complex_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
+    """rank over C of (r - 1) on the 2n-dimensional complex restriction,
+    as the sum over the cycles of el.perm of 2(l - 1) + rank(P - 1), where
+    l is the cycle's length and P its holonomy.
+
+    r sends block j to block w(j) through gamma_{w(j)}, the group
+    element's own 2 x 2 matrix, so r - 1 is block diagonal over the cycles
+    of w.  On a cycle j_0 -> j_1 -> ... -> j_{l-1} -> j_0, with
+    j_{k+1} = w(j_k), it is block cyclic-bidiagonal: -1 at (j_k, j_k) and
+    gamma_{j_{k+1}} at (j_{k+1}, j_k).  Block elimination clears block row
+    j_0: add gamma_{j_0} times block row j_{l-1}, then the product so far
+    times block row j_{l-2}, and so on down to j_1.  That leaves P - 1 at
+    (j_0, j_0) and zeros elsewhere in the row, with the holonomy
+    P = gamma_{j_0} gamma_{j_{l-1}} ... gamma_{j_1}, while rows j_1 ..
+    j_{l-1} keep l - 1 invertible -1 pivots.  A 2 x 2 matrix has rank 0
+    when it is zero, 2 when its determinant is not, and 1 otherwise.  A
+    coordinate that w fixes with gamma = 1 has P - 1 = 0 and is skipped.
+    """
+    elements, perm, gammas = ctx.group.elements, el.perm, el.gammas
+    one = Cyc.one(ctx.group.conductor)
+    seen = [False] * ctx.n
+    total = 0
+    for start in range(ctx.n):
+        if seen[start] or (perm[start] == start and gammas[start] == 0):
+            continue
+        seen[start] = True
+        j = perm[start]
+        hol, length = elements[gammas[j]], 1
+        while j != start:  # hol = gamma_{perm[j]} hol along the cycle
+            seen[j] = True
+            j = perm[j]
+            hol = mat_mul2(elements[gammas[j]], hol)
+            length += 1
+        a, b, c, d = hol
+        a, d = a - one, d - one
+        total += 2 * (length - 1) + (0 if not (a or b or c or d) else 2 if a * d - b * c else 1)
+    return total
 
 
 def monomial_elements(ctx: WreathContext) -> Iterator[MonomialElement]:
@@ -860,6 +921,14 @@ def pairwise_maximal(candidates) -> list[tuple[int, ...]]:
     """The coefficientwise-maximal vectors, by comparing every pair."""
     return [a for a in candidates
             if not any(b != a and all(x <= y for x, y in zip(a, b)) for b in candidates)]
+
+
+def maximal_admissible_alpha(ctx: RootContext, js: set[int], dist: list[int]) -> Vector:
+    """alpha by brute force: of the coefficientwise-maximal roots among those
+    with sum_{j in J} k_j = 1, the one whose vertex j of J is farthest from
+    vertex 0, the lexicographically largest on a tie."""
+    candidates = [a for a in ctx.positive_roots if sum(a[j] for j in js) == 1]
+    return max((dist[next(j for j in js if a[j])], a) for a in pairwise_maximal(candidates))[1]
 
 
 # -- invariant ideals --------------------------------------------------------------

@@ -1,15 +1,17 @@
 import dataclasses
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import (alpha_of, identity, invariant_dim, key_bucketed_hyperplanes, mat_mul,
-                     monomial_elements, quat_matrix_embed, quaternion_matrix,
-                     quaternionic_appendix_identities, quaternionic_pairing_sums, row_times, rref,
-                     stability_search_is_irreducible, structural_fix_codim)
+from oracles import (MonomialElement, alpha_of, complex_codim_of_fix, element_of, identity,
+                     invariant_dim, key_bucketed_hyperplanes, mat_mul, monomial_elements,
+                     quat_matrix_embed, quaternion_matrix, quaternionic_appendix_identities,
+                     quaternionic_pairing_sums, row_times, rref, stability_search_is_irreducible,
+                     structural_fix_codim)
 from test_linalg import column_rref_key, rand_quat
 from zerofiber import linalg, wreath
 from zerofiber.cyclotomic import Cyc
@@ -17,7 +19,6 @@ from zerofiber.groups import GroupSpec, Subgroup, build_group, resolve_subgroup
 from zerofiber.linalg import quat_row_key
 from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import (
-    MonomialElement,
     Reflection,
     WreathContext,
     appendix_checks,
@@ -60,7 +61,7 @@ def scan_reflections(ctx: WreathContext) -> list[Reflection]:
             nontrivial = [i for i, g in enumerate(gammas) if g != 0]
             if len(nontrivial) == 1:
                 p = nontrivial[0]
-                out.append(Reflection(MonomialElement(w, gammas), "b", p, p, gammas[p]))
+                out.append(Reflection("b", p, p, gammas[p]))
             continue
         moved = [i for i in range(n) if w[i] != i]
         if len(moved) != 2:
@@ -70,7 +71,7 @@ def scan_reflections(ctx: WreathContext) -> list[Reflection]:
             continue
         if mult[gammas[p]][gammas[q]] != 0:
             continue
-        out.append(Reflection(MonomialElement(w, gammas), "a", p, q, gammas[p]))
+        out.append(Reflection("a", p, q, gammas[p]))
     return out
 
 
@@ -82,8 +83,8 @@ def bucketed_normals(ctx: WreathContext) -> list:
 
 def dense_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
     """rank of r - 1 on the full 2n-dimensional complex restriction: the
-    dense computation that the cycle rule of ``complex_codim_of_fix``
-    replaced."""
+    dense computation that the cycle rule of ``oracles.complex_codim_of_fix``
+    and the block check of ``reflections`` replaced."""
     emb = quat_matrix_embed(quaternion_matrix(ctx, el))
     one = Cyc.one(ctx.group.conductor)
     shifted = tuple(tuple(v - one if i == j else v for j, v in enumerate(row))
@@ -138,17 +139,17 @@ def test_appendix_enumerates_reflections_once(monkeypatch):
 
 
 def test_complex_trace_matches_the_dense_trace():
-    """The trace from the fixed coordinates' group traces equals the trace
-    of the dense 2n x 2n complex matrix, on reflections and on random
-    elements."""
-    rng = random.Random(29)
-    for gamma, delta, n in [("bd:3", "whole", 2), ("bt", "comm", 2), ("cyclic:5", "whole", 3)]:
+    """tr_C(r) read off the shape, as identity (i) of ``appendix_report``
+    reads it, 2(n - 1) + tr delta for type b and 2(n - 2) for type a, equals
+    the trace of the dense 2n x 2n complex matrix of every reflection."""
+    for gamma, delta, n in [("bd:3", "whole", 2), ("bt", "comm", 2), ("cyclic:5", "whole", 3),
+                            ("bd:2", "cyc2", 4)]:
         c = ctx_of(gamma, delta, n)
-        elements = [r.element for r in reflections(c)] + rng.sample(list(monomial_elements(c)), 40)
-        for el in elements:
-            emb = quat_matrix_embed(quaternion_matrix(c, el))
+        for r in reflections(c):
+            emb = quat_matrix_embed(quaternion_matrix(c, element_of(c, r)))
             dense = sum((emb[i][i] for i in range(2 * n)), Cyc.zero(c.group.conductor))
-            assert c.complex_trace(el) == dense
+            shape = 2 * (n - 1) + c.group.trace(r.gamma) if r.kind == "b" else 2 * (n - 2)
+            assert dense == shape, r
 
 
 def test_wreath_orders():
@@ -175,15 +176,15 @@ def test_iterator_counts_match_formula():
 
 def test_structural_codim_equals_kernel_codim_bruteforce():
     # the structural criterion is exactly half the complex codimension, and
-    # the cycle rule equals the dense rank, element by element, on groups
-    # small enough to brute force (|W| <= 1152)
+    # the oracle's cycle rule equals the dense rank, element by element, on
+    # groups small enough to brute force (|W| <= 1152)
     for gamma, delta, n in [("cyclic:2", "whole", 2), ("cyclic:3", "whole", 2),
                             ("bd:1", "whole", 2), ("cyclic:2", "whole", 3),
                             ("cyclic:3", "whole", 3), ("bd:2", "cyc2", 2),
                             ("bt", "comm", 2), ("cyclic:5", "whole", 3), ("bt", "whole", 2)]:
         c = ctx_of(gamma, delta, n)
         for el in monomial_elements(c):
-            assert (2 * structural_fix_codim(c, el) == c.complex_codim_of_fix(el)
+            assert (2 * structural_fix_codim(c, el) == complex_codim_of_fix(c, el)
                     == dense_codim_of_fix(c, el))
 
 
@@ -204,9 +205,10 @@ def random_element(ctx: WreathContext, rng: random.Random,
 @pytest.mark.parametrize("gamma,delta,n", [("bo", "whole", 3), ("bi", "comm", 3),
                                            ("bt", "whole", 4)])
 def test_cycle_rule_equals_the_dense_rank_beyond_enumeration(gamma, delta, n):
-    """On seeded random elements of groups too big to list, and on 3-cycles
-    whose holonomy gamma_0 gamma_2 gamma_1 is 1 while gamma_1 gamma_2 gamma_0
-    need not be, so that the order of the product matters."""
+    """The oracle's cycle rule on seeded random elements of groups too big to
+    list, and on 3-cycles whose holonomy gamma_0 gamma_2 gamma_1 is 1 while
+    gamma_1 gamma_2 gamma_0 need not be, so that the order of the product
+    matters."""
     c = ctx_of(gamma, delta, n)
     rng = random.Random(83)
     mult, inv = c.group.mult, c.group.inv
@@ -214,12 +216,12 @@ def test_cycle_rule_equals_the_dense_rank_beyond_enumeration(gamma, delta, n):
     elements = [random_element(c, rng) for _ in range(30)]
     elements += [random_element(c, rng, cycle) for _ in range(10)]
     for el in elements:
-        assert (c.complex_codim_of_fix(el) == dense_codim_of_fix(c, el)
+        assert (complex_codim_of_fix(c, el) == dense_codim_of_fix(c, el)
                 == 2 * structural_fix_codim(c, el)), el
     for _ in range(10):
         g1, g2 = rng.randrange(c.group.order), rng.randrange(c.group.order)
         el = MonomialElement(cycle, (inv[mult[g2][g1]], g1, g2) + (0,) * (n - 3))
-        assert c.complex_codim_of_fix(el) == dense_codim_of_fix(c, el) == 4, el
+        assert complex_codim_of_fix(c, el) == dense_codim_of_fix(c, el) == 4, el
 
 
 def block_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
@@ -238,8 +240,10 @@ def block_codim_of_fix(ctx: WreathContext, el: MonomialElement) -> int:
 
 def test_a_corrupt_element_fails_the_kernel_confirmation():
     """Replace one element's matrix by [[1, 1], [0, 1]], which is in no SU(2):
-    every cycle whose holonomy is that matrix has rank(P - 1) = 1, the cycle
-    rule still equals the dense rank, and ``reflections`` raises."""
+    every cycle whose holonomy is that matrix has rank(P - 1) = 1, the
+    oracle's cycle rule still equals the dense rank, and ``reflections``
+    raises, as the type-b shape with delta = [[1, 1], [0, 1]] has block
+    rank 1."""
     group = build_group(GroupSpec.parse("bd:3"))
     m, k = group.conductor, 5
     one, zero = Cyc.one(m), Cyc.zero(m)
@@ -249,14 +253,37 @@ def test_a_corrupt_element_fails_the_kernel_confirmation():
     c = WreathContext(corrupt, Subgroup(corrupt, "whole", tuple(range(group.order))), 3)
     for perm, length in [((0, 1, 2), 1), ((1, 0, 2), 2), ((1, 2, 0), 3)]:
         el = MonomialElement(perm, (k, 0, 0))
-        assert c.complex_codim_of_fix(el) == 2 * (length - 1) + 1 == block_codim_of_fix(c, el)
+        assert complex_codim_of_fix(c, el) == 2 * (length - 1) + 1 == block_codim_of_fix(c, el)
     with pytest.raises(AssertionError, match="kernel confirmation"):
         reflections(c)
     # the uncorrupted group passes, and the dense oracle agrees with the rule
     honest = ctx_of("bd:3", "whole", 3)
     assert len(reflections(honest)) == 3 * group.order + 3 * (group.order - 1)
     for el in [random_element(honest, random.Random(5)) for _ in range(5)]:
-        assert honest.complex_codim_of_fix(el) == block_codim_of_fix(honest, el)
+        assert complex_codim_of_fix(honest, el) == block_codim_of_fix(honest, el)
+
+
+def test_a_corrupt_inverse_fails_the_kernel_confirmation_of_type_a():
+    """A wrong inv entry leaves every element's matrix in SU(2), so every
+    type-b block passes, while the type-a shape (p q, gamma, gamma^{-1}) with
+    that gamma has gamma gamma^{-1} != 1: its dense rank is 4, and
+    ``reflections`` raises on it.  With n = 1 there is no type a, and the
+    corrupt group passes."""
+    group = build_group(GroupSpec.parse("bd:3"))
+    k = 5
+    inv = list(group.inv)
+    inv[k] = group.mult[inv[k]][inv[k]]  # gamma^{-2} is not gamma^{-1}, as gamma^2 != 1
+    assert inv[k] != group.inv[k]
+    corrupt = dataclasses.replace(group, inv=inv)
+    whole = Subgroup(corrupt, "whole", tuple(range(group.order)))
+    c = WreathContext(corrupt, whole, 2)
+    bad = Reflection("a", 0, 1, k)
+    el = element_of(c, bad)
+    assert complex_codim_of_fix(c, el) == dense_codim_of_fix(c, el) == 4
+    with pytest.raises(AssertionError, match=rf"candidate {re.escape(repr(bad))} fails the "
+                                             r"kernel confirmation"):
+        reflections(c)
+    assert len(reflections(WreathContext(corrupt, whole, 1))) == group.order - 1
 
 
 def test_row_times_equals_the_dense_product():
@@ -292,7 +319,7 @@ def test_reflection_counts(gamma, delta, n, expected_N):
 def test_reflection_types_match_shape():
     c = ctx_of("bd:2", "whole", 2)
     for r in reflections(c):
-        el = r.element
+        el = element_of(c, r)
         if r.kind == "b":
             assert el.perm == (0, 1)
             assert sum(1 for g in el.gammas if g != 0) == 1
@@ -375,7 +402,7 @@ def test_g_h_k_relation_and_order_two_equality():
     assert rep.g + rep.k == 2 * rep.h
     orders = set()
     for r in reflections(c):
-        el = r.element
+        el = element_of(c, r)
         # order of the monomial element: brute force via matrix powers
         codim = structural_fix_codim(c, el)
         assert codim == 1
@@ -478,7 +505,7 @@ def test_numerology_catalogue_sweep(gamma, delta):
         assert rep.irreducible == (not reducible_in_catalogue(gamma, delta, n))
 
         refl = reflections(c)
-        assert all(dense_codim_of_fix(c, r.element) == 2 for r in refl)
+        assert all(dense_codim_of_fix(c, element_of(c, r)) == 2 for r in refl)
         planes = hyperplanes(c, refl)
         buckets = key_bucketed_hyperplanes(c, refl)
         assert ({frozenset(h.reflection_ids) for h in planes}
@@ -635,7 +662,8 @@ def test_pairing_sums_on_subsets_equal_the_quaternionic_sums(gamma, delta, n):
     rng = random.Random(f"{gamma} {delta} {n}")
     for _ in range(5):
         subset = rng.sample(shapes, rng.randint(1, min(len(shapes), 30)))
-        assert (wreath._pairing_sums(c.group, n, subset)
+        tallies = wreath._tallies(c.group, n, subset)
+        assert (wreath._pairing_sums(c.group, subset, tallies)
                 == quaternionic_pairing_sums([alpha_of(c, r) for r in subset]))
 
 
