@@ -25,10 +25,29 @@ is exact while its absolute value stays below 2^(B-1), which
 A_c); a pair outside that bound raises ``ValueError``.  The forms live on
 the functions, so those of a table live and die with the
 ``character_table`` cache.
+
+The block of a Gram matrix between linear rows is read off its first row.
+Let lambda_i and lambda_j take only m-th roots of unity, lambda(c) =
+zeta_m^(e(c)), and let lambda_t be the row with exponent vector e_j - e_i
+(mod m).  As conj(zeta^a) = zeta^(-a), lambda_t = conj(lambda_i) lambda_j
+pointwise, so lambda_i(c) conj(lambda_j(c)) = conj(lambda_t(c)) and, for
+any class function f,
+
+    <lambda_i f, lambda_j> = (1/|G|) sum_c |c| f(c) lambda_i(c) conj(lambda_j(c))
+                           = (1/|G|) sum_c |c| f(c) conj(lambda_t(c)) = <f, lambda_t>.
+
+With f = 1 this is <lambda_i, lambda_j> = <1, lambda_t>, the entry (0, t)
+of the Gram matrix when row 0 is the trivial character, and with f = chi_V
+it is the McKay entry m_0t.  The identity is pointwise: it needs the values
+to be roots of unity and lambda_t among the rows, not that any row is a
+homomorphism, so a taken entry equals the one computed directly on every
+input, a corrupted table among them.  ``gram_entries`` takes the entries of
+the block this way and computes every other one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -75,6 +94,27 @@ class ClassFunction:
         function."""
         m = lcm(*(v.m for v in self.values))
         return (m, *kronecker_pack(self.values, m))
+
+    @cached_property
+    def exponents(self) -> tuple[int, tuple[int, ...]] | None:
+        """(m, e) with every value zeta_m^(e_c) at the one conductor m of the
+        values, each matched exactly (denominator 1) against the coefficient
+        tuples of the m-th roots of unity; None if a value is not one."""
+        m = self.values[0].m
+        roots = _root_exponents(m)
+        e = []
+        for v in self.values:
+            t = roots.get(v.num) if v.m == m and v.den == 1 else None
+            if t is None:
+                return None
+            e.append(t)
+        return m, tuple(e)
+
+
+@lru_cache(maxsize=None)
+def _root_exponents(m: int) -> dict[tuple[int, ...], int]:
+    """t for the coefficient tuple of zeta_m^t, t = 0..m-1."""
+    return {Cyc.zeta(m, t).num: t for t in range(m)}
 
 
 def _key(chi: ClassFunction) -> tuple:
@@ -178,17 +218,68 @@ def kernel_contains(group: FiniteGroup, chi: ClassFunction, sub: Subgroup) -> bo
 
 # -- full tables ---------------------------------------------------------------
 
+def _linear_block(chars: list[ClassFunction]) -> dict[tuple[int, int], int]:
+    """t for each pair 1 <= i <= j of rows with exponent vectors at one
+    conductor m such that row t has the exponent vector e_j - e_i (mod m):
+    entry (i, j) of a Gram matrix over chars is then its entry (0, t) (see
+    the module docstring).  Empty unless row 0 has exponent vector 0."""
+    first = chars[0].exponents
+    if first is None or any(first[1]):
+        return {}
+    index = {chi.exponents: t for t, chi in enumerate(chars) if chi.exponents}
+    linear = [(i, chi.exponents) for i, chi in enumerate(chars) if i and chi.exponents]
+    block = {}
+    for a, (i, (m, e_i)) in enumerate(linear):
+        for j, (m_j, e_j) in linear[a:]:
+            if m_j == m:
+                t = index.get((m, tuple([(y - x) % m for x, y in zip(e_i, e_j)])))
+                if t is not None:
+                    block[i, j] = t
+    return block
+
+
+def gram_entries(chars: list[ClassFunction], entry: Callable[[int, int], Fraction]
+                 ) -> Iterator[tuple[int, int, Fraction, str]]:
+    """(i, j, value, source) for the entries i <= j of a Gram matrix over
+    chars, row by row, with entry(i, j) its value.  Where row 0 is trivial
+    and rows i >= 1 and j are linear with conj(chi_i) chi_j = chi_t a row,
+    the value is the entry (0, t) already computed, and source says so
+    (proof in the module docstring); every other entry is entry(i, j),
+    "computed"."""
+    block = _linear_block(chars)
+    first = []
+    for i in range(len(chars)):
+        for j in range(i, len(chars)):
+            t = block.get((i, j))
+            if t is None:
+                value = entry(i, j)
+                if not i:
+                    first.append(value)
+                yield i, j, value, "computed"
+            else:
+                yield i, j, first[t], f"taken from (0, {t})"
+
+
 def validate_table(group: FiniteGroup, chars: list[ClassFunction]) -> None:
     """A square table with orthonormal rows and degree sum |G|; the columns
-    are then orthogonal too (see the module docstring)."""
+    are then orthogonal too (see the module docstring).
+
+    The inner products between linear rows i >= 1 and j are taken from the
+    first row by ``gram_entries``: <lambda_i, lambda_j> = <1, lambda_t> for
+    lambda_t = conj(lambda_i) lambda_j, which holds pointwise whenever the
+    values are roots of unity, homomorphism or not.  So each taken entry is
+    the value a direct inner product gives, and a table passes exactly when
+    its full Gram matrix is the identity.  A duplicated linear row has
+    t = 0 and fails on <1, 1> = 1.
+    """
     k = len(group.classes)
     if len(chars) != k:
         raise AssertionError(f"{len(chars)} characters for {k} classes")
-    for i in range(k):
-        for j in range(i, k):
-            ip = inner_product(group, chars[i], chars[j])
-            if ip != (1 if i == j else 0):
-                raise AssertionError(f"rows {i},{j} have inner product {ip}")
+    entries = gram_entries(chars, lambda i, j: inner_product(group, chars[i], chars[j]))
+    for i, j, ip, source in entries:
+        if ip != (1 if i == j else 0):
+            raise AssertionError(
+                f"{group.spec}: rows {i},{j} have inner product {ip} ({source})")
     total = sum(chi.degree.as_rational() ** 2 for chi in chars)
     if total != group.order:
         raise AssertionError(f"sum of squared degrees {total} != |G| = {group.order}")

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import compress, repeat
 from operator import add, eq, le, mul
 
-from .characters import (ClassFunction, character_table, defining_character, inner_product,
-                         kernel_contains)
+from .characters import (ClassFunction, character_table, defining_character, gram_entries,
+                         inner_product, kernel_contains)
 from .groups import FiniteGroup, GroupSpec, Subgroup, build_group, orbit
 
 Vector = tuple[int, ...]
@@ -99,19 +99,26 @@ def mckay_multiplicities(group: FiniteGroup,
     non-negative integer.  The reality of chi_V is checked on its k class
     values.  Raises ``AssertionError`` when chi_V is not real and on an entry
     that is negative or not an integer.
+
+    The entries between linear rows i >= 1 and j are taken from row 0 by
+    ``gram_entries``: for lambda_t = conj(lambda_i) lambda_j pointwise,
+    m_ij = <lambda_i chi_V, lambda_j> = <chi_V, lambda_t> = m_0t, since
+    lambda_i(c) conj(lambda_j(c)) = conj(lambda_t(c)) when the values are
+    roots of unity (proof in the ``characters`` module docstring).  The
+    product chi_i * chi_V is formed only for a row with an entry computed.
     """
     chi_v = defining_character(group)
     if chi_v.conj() != chi_v:
         raise AssertionError(f"defining character of {group.spec} is not real")
     k = len(chars)
     rows = [[0] * k for _ in range(k)]
-    for i, chi in enumerate(chars):
-        prod = chi * chi_v
-        for j in range(i, k):
-            mult = inner_product(group, prod, chars[j])
-            if mult.denominator != 1 or mult < 0:
-                raise AssertionError("non-integral McKay multiplicity")
-            rows[i][j] = rows[j][i] = int(mult)
+    twist = cache(lambda i: chars[i] * chi_v)
+    entries = gram_entries(chars, lambda i, j: inner_product(group, twist(i), chars[j]))
+    for i, j, mult, source in entries:
+        if mult.denominator != 1 or mult < 0:
+            raise AssertionError(f"non-integral McKay multiplicity {mult} at entry ({i}, {j}) "
+                                 f"of {group.spec} ({source})")
+        rows[i][j] = rows[j][i] = int(mult)
     return tuple(map(tuple, rows))
 
 

@@ -35,6 +35,9 @@ keeps.  ``columns_are_orthogonal`` is the column
 half of the table check, which row orthonormality of a square table implies.
 ``hermitian_sum`` is the term-by-term Hermitian sum over coefficient pairs
 that the packed dot product of ``characters.hermitian_dot`` replaced.
+``brute_force_gram`` is every inner product of a left and a right list,
+where ``characters.gram_entries`` computes the entries i <= j and takes
+those between linear rows from the first row.
 
 ``sigma_c`` is the minimal set of the roots that pair to zero with c, found
 by ``all_roots_with_pairing_zero``: the re-check that the integer bound in
@@ -78,7 +81,8 @@ from operator import mul
 from typing import NamedTuple
 
 from zerofiber import invariants, linalg
-from zerofiber.characters import ClassFunction, linear_characters, trivial_character
+from zerofiber.characters import (ClassFunction, inner_product, linear_characters,
+                                  trivial_character)
 from zerofiber.cyclotomic import (CONDUCTOR_CAP, ConductorError, Cyc, _power_rows, _reduced,
                                   euler_phi)
 from zerofiber.groebner import GroebnerBasis, buchberger
@@ -913,6 +917,11 @@ def columns_are_orthogonal(group: FiniteGroup, chars) -> bool:
             if not (acc.is_rational() and acc.as_rational() == expected):
                 return False
     return True
+
+
+def brute_force_gram(group: FiniteGroup, left, right) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix of inner products <a, b> for a in left and b in right."""
+    return tuple(tuple(inner_product(group, a, b) for b in right) for a in left)
 
 
 # -- admissible roots --------------------------------------------------------------

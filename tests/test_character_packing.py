@@ -123,8 +123,9 @@ def test_a_rational_character_is_pushed_without_galois_images(monkeypatch):
 
 @pytest.mark.parametrize("text", ["cyclic:30", "bd:5", "bi"])
 def test_each_function_is_packed_once(monkeypatch, text):
-    """validate_table makes k(k + 1)/2 inner products but packs each of its
-    k fresh rows once, and keeps the form with the row."""
+    """validate_table makes up to k(k + 1)/2 inner products but packs each
+    of its k fresh rows once, and keeps the form with the row; row 0 meets
+    every row, so each is packed even where the linear block is taken."""
     group = build_group(GroupSpec.parse(text))
     rows = [ClassFunction(chi.values) for chi in character_table(GroupSpec.parse(text))]
     calls = count_calls(monkeypatch, characters, "kronecker_pack")

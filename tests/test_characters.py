@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
-from oracles import (bd_table, bi_table, bo_table, bt_table, classes_by_full_orbits,
-                     columns_are_orthogonal, commutator_subgroup_by_sweep,
+from oracles import (bd_table, bi_table, bo_table, bt_table, brute_force_gram,
+                     classes_by_full_orbits, columns_are_orthogonal, commutator_subgroup_by_sweep,
                      coset_table_linear_characters, power)
 from zerofiber import characters
 from zerofiber.cyclotomic import Cyc
@@ -12,6 +12,7 @@ from zerofiber.characters import (
     ClassFunction,
     character_table,
     defining_character,
+    gram_entries,
     inner_product,
     kernel_contains,
     linear_characters,
@@ -322,3 +323,63 @@ def test_one_construction_per_table(monkeypatch):
         character_table(spec)
         character_table(spec)
     assert calls == specs
+
+
+# -- the linear block of the Gram matrix ----------------------------------------
+
+@pytest.mark.parametrize("spec", FULL_CATALOGUE)
+def test_the_gram_matrix_equals_the_brute_force_one(spec):
+    """The orthonormality Gram that validate_table checks is, entry for
+    entry, the k x k matrix of inner products, and every linear pair
+    1 <= i <= j is taken from row 0."""
+    group = build_group(GroupSpec.parse(spec))
+    chars = character_table(GroupSpec.parse(spec))
+    k = len(chars)
+    gram = [[None] * k for _ in range(k)]
+    taken = 0
+    for i, j, value, source in gram_entries(chars, lambda i, j: inner_product(group, chars[i],
+                                                                              chars[j])):
+        gram[i][j] = gram[j][i] = value
+        taken += source != "computed"
+    assert tuple(map(tuple, gram)) == brute_force_gram(group, chars, chars)
+    linear = sum(chi.degree == 1 for chi in chars)
+    assert taken == linear * (linear - 1) // 2
+
+
+def corrupted(chars, row, values):
+    return chars[:row] + [ClassFunction(tuple(values))] + chars[row + 1:]
+
+
+def rational_class(chi):
+    """The first class after the identity where chi takes a rational value."""
+    return next(c for c in range(1, len(chi.values)) if chi.values[c].is_rational())
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4", "bd:3", "bt"])
+@pytest.mark.parametrize("factor", [2, -1])
+def test_a_corrupted_linear_row_is_rejected(spec, factor):
+    """One rational value of a linear row doubled (factor 2: no root of
+    unity, so the row has no exponent vector and its entries are computed)
+    or negated (factor -1: another root of unity, so the row keeps an
+    exponent vector but is no homomorphism).  Either way <1, lambda> =
+    (factor - 1) |c| conj(lambda(c)) / |G| != 0 on row 0."""
+    group, chars = build_group(GroupSpec.parse(spec)), list(character_table(GroupSpec.parse(spec)))
+    values = list(chars[1].values)
+    c = rational_class(chars[1])
+    values[c] = values[c] * factor
+    table = corrupted(chars, 1, values)
+    assert (table[1].exponents is None) == (factor == 2)
+    with pytest.raises(AssertionError,
+                       match=rf"^{spec}: rows 0,1 have inner product -?\d+/\d+ \(computed\)$"):
+        validate_table(group, table)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4", "bd:3", "bt"])
+def test_a_duplicated_linear_row_is_rejected(spec):
+    """conj(lambda_1) lambda_1 is the trivial row, so the entry (1, 2) of a
+    table whose row 2 repeats row 1 is taken from <1, 1> = 1."""
+    group, chars = build_group(GroupSpec.parse(spec)), list(character_table(GroupSpec.parse(spec)))
+    table = corrupted(chars, 2, chars[1].values)
+    with pytest.raises(AssertionError,
+                       match=rf"^{spec}: rows 1,2 have inner product 1 \(taken from \(0, 0\)\)$"):
+        validate_table(group, table)

@@ -81,6 +81,9 @@ def test_a_traced_mckay_case_counts_its_inner_products():
         ans = workloads.run_case("mckay", case)
     assert workloads.check("mckay", case, ans, workloads.load_expected("mckay")) == []
     metrics = tracing.TracedPass(tracer).metrics()
-    # the 7 * 8 / 2 entries m_ij, i <= j, of the symmetric bt McKay matrix
-    assert metrics["mckay.inner_product_calls"] == 28
+    # the 7 * 8 / 2 = 28 entries m_ij, i <= j, of the symmetric bt McKay
+    # matrix, less the 3 that gram_entries takes from row 0: bt has 3 linear
+    # rows 0, 1, 2, so (1, 1), (1, 2) and (2, 2) are m_0t with
+    # chi_t = conj(chi_i) chi_j
+    assert metrics["mckay.inner_product_calls"] == 25
     assert [getattr(owner, attr) for owner, attr in tracing.SPANNED] == before
