@@ -238,21 +238,27 @@ def _linear_block(chars: list[ClassFunction]) -> dict[tuple[int, int], int]:
     return block
 
 
-def gram_entries(chars: list[ClassFunction], entry: Callable[[int, int], Fraction]
-                 ) -> Iterator[tuple[int, int, Fraction, str]]:
+def gram_entries(chars: list[ClassFunction], entry: Callable[[int, int], Fraction],
+                 certificate: str) -> Iterator[tuple[int, int, Fraction, str]]:
     """(i, j, value, source) for the entries i <= j of a Gram matrix over
     chars, row by row, with entry(i, j) its value.  Where row 0 is trivial
     and rows i >= 1 and j are linear with conj(chi_i) chi_j = chi_t a row,
     the value is the entry (0, t) already computed, and source says so
     (proof in the module docstring); every other entry is entry(i, j),
-    "computed"."""
+    "computed".  A ``ValueError`` from entry(i, j), such as the irrational
+    inner product of a corrupted table, is raised again as the
+    ``AssertionError`` of the certificate, which names the entry."""
     block = _linear_block(chars)
     first = []
     for i in range(len(chars)):
         for j in range(i, len(chars)):
             t = block.get((i, j))
             if t is None:
-                value = entry(i, j)
+                try:
+                    value = entry(i, j)
+                except ValueError as e:
+                    raise AssertionError(f"{certificate} fails at entry ({i}, {j}) (computed): "
+                                         f"{e}") from e
                 if not i:
                     first.append(value)
                 yield i, j, value, "computed"
@@ -270,12 +276,14 @@ def validate_table(group: FiniteGroup, chars: list[ClassFunction]) -> None:
     values are roots of unity, homomorphism or not.  So each taken entry is
     the value a direct inner product gives, and a table passes exactly when
     its full Gram matrix is the identity.  A duplicated linear row has
-    t = 0 and fails on <1, 1> = 1.
+    t = 0 and fails on <1, 1> = 1, and an irrational inner product fails
+    as an ``AssertionError`` naming its entry.
     """
     k = len(group.classes)
     if len(chars) != k:
         raise AssertionError(f"{len(chars)} characters for {k} classes")
-    entries = gram_entries(chars, lambda i, j: inner_product(group, chars[i], chars[j]))
+    entries = gram_entries(chars, lambda i, j: inner_product(group, chars[i], chars[j]),
+                           f"{group.spec}: orthonormality certificate")
     for i, j, ip, source in entries:
         if ip != (1 if i == j else 0):
             raise AssertionError(

@@ -113,7 +113,8 @@ def mckay_multiplicities(group: FiniteGroup,
     k = len(chars)
     rows = [[0] * k for _ in range(k)]
     twist = cache(lambda i: chars[i] * chi_v)
-    entries = gram_entries(chars, lambda i, j: inner_product(group, twist(i), chars[j]))
+    entries = gram_entries(chars, lambda i, j: inner_product(group, twist(i), chars[j]),
+                           f"{group.spec}: McKay matrix certificate")
     for i, j, mult, source in entries:
         if mult.denominator != 1 or mult < 0:
             raise AssertionError(f"non-integral McKay multiplicity {mult} at entry ({i}, {j}) "

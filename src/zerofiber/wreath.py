@@ -9,9 +9,11 @@ a transposition (p q) with entries gamma and gamma^{-1} (type a), or the
 identity permutation with a single entry delta in Delta - {1} at p (type
 b).  The reflections are built from these shapes in O(N), with no scan of
 W.  The proof that each is a reflection is in the docstring of
-``reflections``, and each is also confirmed on its own 2 x 2 block by the
-complex-codimension-2 kernel rank of r - 1: rank(delta - 1) = 2 for type b,
-and 2 + rank(gamma gamma^{-1} - 1) = 2 for type a.
+``reflections``, and each is also confirmed by the complex-codimension-2
+kernel rank of r - 1 on 2 x 2 blocks: rank(delta - 1) = 2 on its own block
+for type b, and 2 + rank(gamma gamma^{-1} - 1) = 2 for type a, whose block
+depends only on gamma, so it is confirmed once per gamma and shared by the
+C(n, 2) pairs (p, q).
 The hyperplanes are built from the same shapes: the type-b reflections at
 coordinate p share {x_p = 0}, and each type-a reflection has its own.  Both
 counts are checked against their closed forms N and N*.  The appendix
@@ -44,12 +46,16 @@ class WreathContext:
     n: int
 
     def __post_init__(self):
-        where = f"Gamma {self.group.spec}, Delta {self.sub.name!r}, n = {self.n}"
         if self.n < 1:
-            raise ValueError(f"{where}: n must be at least 1, got {self.n}")
+            raise ValueError(f"{self.where}: n must be at least 1, got {self.n}")
         if self.sub.group is not self.group:
-            raise ValueError(f"{where}: subgroup {self.sub.name!r} of {self.sub.group.spec} "
+            raise ValueError(f"{self.where}: subgroup {self.sub.name!r} of {self.sub.group.spec} "
                              f"is not a subgroup of {self.group.spec}")
+
+    @property
+    def where(self) -> str:
+        """The input, as errors name it."""
+        return f"Gamma {self.group.spec}, Delta {self.sub.name!r}, n = {self.n}"
 
     @property
     def order(self) -> int:
@@ -94,13 +100,16 @@ def reflections(ctx: WreathContext) -> list[Reflection]:
 
     Each one is also confirmed at run time by the complex-codimension-2
     kernel rank of r - 1, on the 2 x 2 blocks of the coordinates it moves.
-    Type b: rank(delta - 1) = 2.  Type a: adding gamma times block row q to
-    block row p leaves gamma gamma^{-1} - 1 at (p, p) and 0 at (p, q), beside
-    the invertible -1 at (q, q), so the rank is 2 + rank(gamma gamma^{-1} - 1)
-    = 2.  The rank is read off the group's matrices themselves, not off the
-    proof above: a matrix outside SU(2) such as [[1, 1], [0, 1]] as delta
-    gives rank 1, and a wrong inverse in ``group.inv`` makes
-    gamma gamma^{-1} - 1 nonzero; both fail.  The count is checked against
+    Type b: rank(delta - 1) = 2, once per reflection.  Type a: adding gamma
+    times block row q to block row p leaves gamma gamma^{-1} - 1 at (p, p)
+    and 0 at (p, q), beside the invertible -1 at (q, q), so the rank is
+    2 + rank(gamma gamma^{-1} - 1) = 2.  That block depends only on gamma,
+    not on (p, q), so its rank is computed once per gamma in Gamma (when
+    n >= 2) and shared by the C(n, 2) pairs.  The rank is read off the
+    group's matrices themselves, not off the proof above: a matrix outside
+    SU(2) such as [[1, 1], [0, 1]] as delta gives rank 1, and a wrong inverse
+    in ``group.inv`` makes gamma gamma^{-1} - 1 nonzero; both fail, on the
+    first failing reflection in list order.  The count is checked against
     N = C(n, 2)|Gamma| + n(|Delta| - 1).
     """
     group, sub, n = ctx.group, ctx.sub, ctx.n
@@ -109,17 +118,16 @@ def reflections(ctx: WreathContext) -> list[Reflection]:
     out = [Reflection("b", p, p, d) for p in range(n) for d in sub.indices if d != 0]
     out += [Reflection("a", p, q, g)
             for p, q in itertools.combinations(range(n), 2) for g in range(group.order)]
+    a_rank = [_rank_minus_one(mat_mul2(elements[g], elements[inv[g]]), one)
+              for g in range(group.order)] if n >= 2 else []
     for r in out:
-        if r.kind == "b":
-            rank = _rank_minus_one(elements[r.gamma], one)
-        else:
-            rank = 2 + _rank_minus_one(mat_mul2(elements[r.gamma], elements[inv[r.gamma]]), one)
+        rank = _rank_minus_one(elements[r.gamma], one) if r.kind == "b" else 2 + a_rank[r.gamma]
         if rank != 2:
-            raise AssertionError(f"candidate {r} fails the kernel confirmation")
+            raise AssertionError(f"{ctx.where}: candidate {r} fails the kernel confirmation")
     expected = n * (n - 1) // 2 * group.order + n * (sub.order - 1)
     if len(out) != expected:
         raise AssertionError(
-            f"enumerated {len(out)} reflections, formula gives {expected}")
+            f"{ctx.where}: enumerated {len(out)} reflections, formula gives {expected}")
     return out
 
 
@@ -157,7 +165,7 @@ def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[Hyperplane]:
     expected = n * (n - 1) // 2 * ctx.group.order + (n if ctx.sub.order > 1 else 0)
     if len(out) != expected:
         raise AssertionError(
-            f"built {len(out)} hyperplanes, formula gives {expected}")
+            f"{ctx.where}: built {len(out)} hyperplanes, formula gives {expected}")
     return out
 
 
@@ -234,9 +242,10 @@ def numerology_report(ctx: WreathContext, refl: list[Reflection],
     k = Fraction(2 * Nstar, n)
     closed_form = (n - 1) * ctx.group.order + 2 * (ctx.sub.order - 1)
     if g != closed_form:
-        raise AssertionError(f"g = 2N/n = {g} but the closed form gives {closed_form}")
+        raise AssertionError(
+            f"{ctx.where}: g = 2N/n = {g} but the closed form gives {closed_form}")
     if g + k != 2 * h:
-        raise AssertionError("g + k != 2h")
+        raise AssertionError(f"{ctx.where}: g + k != 2h")
     count_a = sum(1 for r in refl if r.kind == "a")
     count_b = N - count_a
     return NumerologyReport(

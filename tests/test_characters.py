@@ -19,6 +19,7 @@ from zerofiber.characters import (
     validate_table,
 )
 from zerofiber.groups import GroupSpec, build_group, commutator_subgroup, resolve_subgroup
+from zerofiber.mckay import mckay_multiplicities
 
 ALL_SPECS = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6",
              "bd:1", "bd:2", "bd:3", "bd:4", "bt", "bo", "bi"]
@@ -337,8 +338,8 @@ def test_the_gram_matrix_equals_the_brute_force_one(spec):
     k = len(chars)
     gram = [[None] * k for _ in range(k)]
     taken = 0
-    for i, j, value, source in gram_entries(chars, lambda i, j: inner_product(group, chars[i],
-                                                                              chars[j])):
+    for i, j, value, source in gram_entries(
+            chars, lambda i, j: inner_product(group, chars[i], chars[j]), spec):
         gram[i][j] = gram[j][i] = value
         taken += source != "computed"
     assert tuple(map(tuple, gram)) == brute_force_gram(group, chars, chars)
@@ -383,3 +384,25 @@ def test_a_duplicated_linear_row_is_rejected(spec):
     with pytest.raises(AssertionError,
                        match=rf"^{spec}: rows 1,2 have inner product 1 \(taken from \(0, 0\)\)$"):
         validate_table(group, table)
+
+
+def test_an_irrational_inner_product_fails_the_certificates():
+    """Squaring one irrational value of bt's row 1 makes <1, chi_1> and
+    <chi_V, chi_1> irrational.  inner_product raises ValueError; both
+    certificates raise it again as an AssertionError that names the group,
+    the certificate and the entry, chained to that ValueError."""
+    spec = "bt"
+    group, chars = build_group(GroupSpec.parse(spec)), list(character_table(GroupSpec.parse(spec)))
+    values = list(chars[1].values)
+    c = next(c for c in range(len(values)) if not values[c].is_rational())
+    values[c] = values[c] * values[c]
+    table = corrupted(chars, 1, values)
+    with pytest.raises(ValueError, match="is not rational"):
+        inner_product(group, table[0], table[1])
+    for check, certificate in [(validate_table, "orthonormality"),
+                               (mckay_multiplicities, "McKay matrix")]:
+        with pytest.raises(AssertionError,
+                           match=rf"^{spec}: {certificate} certificate fails at entry \(0, 1\) "
+                                 r"\(computed\): Cyc\(.*\) is not rational$") as info:
+            check(group, table)
+        assert isinstance(info.value.__cause__, ValueError)

@@ -87,3 +87,19 @@ def test_a_traced_mckay_case_counts_its_inner_products():
     # chi_t = conj(chi_i) chi_j
     assert metrics["mckay.inner_product_calls"] == 25
     assert [getattr(owner, attr) for owner, attr in tracing.SPANNED] == before
+
+
+def test_a_traced_numerology_case_counts_its_block_products():
+    """Every 2 x 2 product of a numerology case is counted under the groups
+    layer, wherever it is called from."""
+    tracer = tracing.Tracer()
+    case = next(c for c in workloads.make_cases("numerology") if c.id == "bd:2/whole/n=3")
+    workloads.clear_spec_caches()
+    with tracer.installed(), tracer.span("bench.pass"), tracer.span("bench.case", 0):
+        ans = workloads.run_case("numerology", case)
+    assert workloads.check("numerology", case, ans, workloads.load_expected("numerology")) == []
+    metrics = tracing.TracedPass(tracer).metrics()
+    # closing bd:2 takes 8 elements x 2 generators = 16 products, and the
+    # type-a blocks gamma gamma^{-1} - 1 of reflections take one per gamma,
+    # 8, however many of the C(3, 2) = 3 pairs (p, q) share them
+    assert metrics["groups.mat_mul2_calls"] == 16 + 8

@@ -267,8 +267,10 @@ def test_a_corrupt_inverse_fails_the_kernel_confirmation_of_type_a():
     """A wrong inv entry leaves every element's matrix in SU(2), so every
     type-b block passes, while the type-a shape (p q, gamma, gamma^{-1}) with
     that gamma has gamma gamma^{-1} != 1: its dense rank is 4, and
-    ``reflections`` raises on it.  With n = 1 there is no type a, and the
-    corrupt group passes."""
+    ``reflections`` raises on it.  At n = 3 the block is confirmed once for
+    the three pairs that share it, and the error still names the first in
+    list order, (0 1), with the input.  With n = 1 there is no type a, and
+    the corrupt group passes."""
     group = build_group(GroupSpec.parse("bd:3"))
     k = 5
     inv = list(group.inv)
@@ -283,7 +285,48 @@ def test_a_corrupt_inverse_fails_the_kernel_confirmation_of_type_a():
     with pytest.raises(AssertionError, match=rf"candidate {re.escape(repr(bad))} fails the "
                                              r"kernel confirmation"):
         reflections(c)
+    with pytest.raises(AssertionError, match=rf"^Gamma bd:3, Delta 'whole', n = 3: candidate "
+                                             rf"{re.escape(repr(bad))} fails the kernel "
+                                             r"confirmation$"):
+        reflections(WreathContext(corrupt, whole, 3))
     assert len(reflections(WreathContext(corrupt, whole, 1))) == group.order - 1
+
+
+@pytest.mark.parametrize("gamma", ["bd:3", "bt"])
+def test_type_a_blocks_are_confirmed_once_per_gamma(monkeypatch, gamma):
+    """The type-a block gamma gamma^{-1} - 1 depends only on gamma, so
+    ``reflections`` forms |Gamma| products at every n >= 2, however many
+    pairs (p, q) share them, and none at n = 1, where there is no type a."""
+    products = []
+    original = wreath.mat_mul2
+
+    def counted(a, b):
+        products.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(wreath, "mat_mul2", counted)
+    for n in (1, 2, 3, 6):
+        c = ctx_of(gamma, "whole", n)
+        products.clear()
+        refl = reflections(c)
+        assert len(products) == (c.group.order if n >= 2 else 0)
+        assert sum(r.kind == "a" for r in refl) == n * (n - 1) // 2 * c.group.order
+
+
+def test_the_count_checks_name_the_input():
+    """A Delta without the identity keeps a type-b reflection that
+    |Delta| - 1 does not count, and a truncated reflection list breaks the
+    closed form for g.  Each error names Gamma, Delta and n."""
+    group = build_group(GroupSpec.parse("bd:2"))
+    c = WreathContext(group, Subgroup(group, "odd", (5,)), 2)
+    with pytest.raises(AssertionError, match=r"^Gamma bd:2, Delta 'odd', n = 2: enumerated 10 "
+                                             r"reflections, formula gives 8$"):
+        reflections(c)
+    c = ctx_of("bd:2", "whole", 2)
+    refl = reflections(c)
+    with pytest.raises(AssertionError, match=r"^Gamma bd:2, Delta 'whole', n = 2: g = 2N/n = 21 "
+                                             r"but the closed form gives 22$"):
+        wreath.numerology_report(c, refl[:-1], hyperplanes(c, refl))
 
 
 def test_row_times_equals_the_dense_product():
@@ -361,7 +404,8 @@ def test_hyperplane_dedup_order_invariant():
 def test_hyperplane_count_is_checked_against_its_formula():
     c = ctx_of("bd:2", "whole", 2)
     refl = reflections(c)
-    with pytest.raises(AssertionError, match="built 9 hyperplanes, formula gives 10"):
+    with pytest.raises(AssertionError, match=r"^Gamma bd:2, Delta 'whole', n = 2: built 9 "
+                                             r"hyperplanes, formula gives 10$"):
         hyperplanes(c, refl[:-1])
 
 
