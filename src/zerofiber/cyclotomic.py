@@ -466,4 +466,4 @@ class Cyc:
 
 def sqrt5(m: int = 5) -> Cyc:
     z = Cyc.zeta(5)
-    return (z - z ** 2 - z ** 3 + z ** 4).lift(m) if m != 5 else z - z ** 2 - z ** 3 + z ** 4
+    return (z - z ** 2 - z ** 3 + z ** 4).lift(m)

@@ -110,9 +110,6 @@ class GroebnerBasis:
     def reduce(self, p: Poly2) -> Poly2:
         return normal_form(p, list(self.polys))[0]
 
-    def contains(self, p: Poly2) -> bool:
-        return self.reduce(p).is_zero()
-
     def membership_witness(self, p: Poly2) -> tuple[Poly2, list[Poly2]]:
         """Remainder and a certificate: p = sum cert_i * gens_i + remainder."""
         zero = [Poly2.zero() for _ in self.gens]

@@ -312,10 +312,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.indices)
 
-    @property
-    def index(self) -> int:
-        return self.group.order // self.order
-
 
 def close_indices(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
     """The subgroup generated by ``seeds``: the orbit of 1 under right

@@ -122,33 +122,21 @@ def reynolds(group: FiniteGroup, p: Poly2) -> Poly2:
 
 def molien_coeffs(group: FiniteGroup, D: int) -> list[int]:
     """Coefficients of (1/|G|) sum_g 1/det(1 - t g) up to degree D, via the
-    per-class recursion a_k = tr(g) a_{k-1} - a_{k-2} (det g = 1)."""
-    m = group.conductor
-    per_class = []
+    per-class recursion a_k = tr(g) a_{k-1} - a_{k-2} (det g = 1) from
+    a_{-1} = 0 and a_0 = 1."""
+    zero = Cyc.zero(group.conductor)
+    sums = [zero] * (D + 1)
     for cls in group.classes:
-        tr = group.trace(cls[0])
-        per_class.append((len(cls), tr))
-    out = []
-    prev2 = {i: Cyc.one(m) for i in range(len(per_class))}   # a_0
-    prev1 = {i: per_class[i][1] for i in range(len(per_class))}  # a_1
-    for d in range(D + 1):
-        if d == 0:
-            vals = prev2
-        elif d == 1:
-            vals = prev1
-        else:
-            vals = {}
-            for i, (_, tr) in enumerate(per_class):
-                vals[i] = tr * prev1[i] - prev2[i]
-            prev2, prev1 = prev1, vals
-        acc = Cyc.zero(m)
-        for i, (size, _) in enumerate(per_class):
-            acc = acc + vals[i] * size
-        q = (acc * Fraction(1, group.order)).as_rational()
+        tr, a = group.trace(cls[0]), [zero, Cyc.one(group.conductor)]
+        for _ in range(D):
+            a.append(tr * a[-1] - a[-2])
+        sums = [acc + x * len(cls) for acc, x in zip(sums, a[1:])]
+    out = [(acc * Fraction(1, group.order)).as_rational() for acc in sums]
+    for d, q in enumerate(out):
         if q.denominator != 1 or q < 0:
-            raise AssertionError("Molien coefficient is not a non-negative integer")
-        out.append(int(q))
-    return out
+            raise AssertionError(f"{group.spec}: Molien coefficient {q} in degree {d} "
+                                 f"is not a non-negative integer")
+    return [int(q) for q in out]
 
 
 class MolienCertificate(NamedTuple):

@@ -246,7 +246,7 @@ def generic_on_hyperplane(ctx: RootContext, alpha: Vector) -> tuple[Fraction, ..
     w cancels.
     """
     if alpha not in ctx.positive_roots:
-        raise ValueError("alpha must be a finite positive root")
+        raise ValueError(f"Gamma {ctx.graph.spec}: alpha = {alpha} is not a finite positive root")
     r = ctx.graph.size
     aa = _idot(alpha, alpha)
     t = 2 * (aa + _idot(alpha, ctx.phi)) * max(ctx.phi) + 1
@@ -307,7 +307,8 @@ def _l_data(spec: GroupSpec, sub: Subgroup) -> tuple[RootContext, tuple[int, ...
     vertices = _linear_trivial_on(spec, sub)
     js = set(vertices) - {0}
     if not js:
-        raise ValueError("no nontrivial linear character of Gamma/Delta")
+        raise ValueError(f"Gamma {spec}, Delta {sub.name!r}: no nontrivial linear character "
+                         f"of Gamma/Delta")
     dist = ctx.graph.distance_from_zero()
     in_js = [v in js for v in range(ctx.graph.size)]
     theta: dict[int, Vector] = {}
@@ -319,8 +320,8 @@ def _l_data(spec: GroupSpec, sub: Subgroup) -> tuple[RootContext, tuple[int, ...
     total = sum(alpha[i] * ctx.graph.dims[i] for i in range(1, ctx.graph.size))
     if total != 2 * sub.order - 1:
         raise AssertionError(
-            f"maximal admissible root violates sum k_i n_i = 2|Delta|-1: "
-            f"{alpha} gives {total}, expected {2 * sub.order - 1}")
+            f"Gamma {spec}, Delta {sub.name!r}: maximal admissible root {alpha} gives "
+            f"sum k_i n_i = {total}, expected 2|Delta| - 1 = {2 * sub.order - 1}")
     return ctx, vertices, alpha
 
 
@@ -335,13 +336,14 @@ def _character(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[Vector, int, tup
     """ch(L), its dimension and the Gamma/Delta vertices, from one ``_l_data``."""
     _require_subgroup_of(spec, sub)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"Gamma {spec}, Delta {sub.name!r}, n = {n}: n must be >= 1")
     ctx, vertices, alpha = _l_data(spec, sub)
     ch = tuple((n - 1 + (sub.order == sub.group.order)) * d + a for d, a in zip(ctx.delta, alpha))
     dim = vector_dim(ctx.graph, ch)
     g = (n - 1) * sub.group.order + 2 * (sub.order - 1)
     if dim != g + 1:
-        raise AssertionError(f"dim(L) = {dim} but g + 1 = {g + 1}")
+        raise AssertionError(f"Gamma {spec}, Delta {sub.name!r}, n = {n}: "
+                             f"dim(L) = {dim} but g + 1 = {g + 1}")
     return ch, dim, vertices
 
 
@@ -362,17 +364,10 @@ def dimension_bound_check(spec: GroupSpec, sub: Subgroup, n: int) -> tuple[bool,
     return (le and len(eq) == 1, eq[0] if len(eq) == 1 else -1)
 
 
-def dot_export(spec: GroupSpec, sub: Subgroup | None = None) -> str:
-    """Graphviz DOT text for the McKay graph, with delta labels, and given
-    Delta its Gamma/Delta vertices and, for proper Delta, alpha labels.
-    Delta = Gamma needs no root data, so cyclic:1 exports too."""
-    trivial_on, alpha = (), None
-    if sub is not None:
-        _require_subgroup_of(spec, sub)
-        if sub.order == sub.group.order:
-            trivial_on = (0,)
-        else:
-            _, trivial_on, alpha = _l_data(spec, sub)
+def dot_export(spec: GroupSpec) -> str:
+    """Graphviz DOT text for the McKay graph, each vertex labelled with its
+    dimension, whether it is linear, and its coefficient in delta.  It needs
+    no root data, so cyclic:1 exports too."""
     graph = mckay_graph(spec)
     lines = ["graph mckay {"]
     lines.append(f'  label="{spec} : {graph.affine_type}";')
@@ -380,11 +375,7 @@ def dot_export(spec: GroupSpec, sub: Subgroup | None = None) -> str:
         tags = [f"dim={graph.dims[v]}"]
         if v in graph.linear_vertices:
             tags.append("linear")
-        if v in trivial_on:
-            tags.append("trivial-on-delta")
         label = f"{v} ({', '.join(tags)})\\ndelta={graph.dims[v]}"
-        if alpha is not None:
-            label += f" alpha={alpha[v]}"
         lines.append(f'  v{v} [label="{label}"];')
     for i in range(graph.size):
         for j in range(i, graph.size):

@@ -14,11 +14,14 @@ kernel rank of r - 1 on 2 x 2 blocks: rank(delta - 1) = 2 on its own block
 for type b, and 2 + rank(gamma gamma^{-1} - 1) = 2 for type a, whose block
 depends only on gamma, so it is confirmed once per gamma and shared by the
 C(n, 2) pairs (p, q).
-The hyperplanes are built from the same shapes: the type-b reflections at
-coordinate p share {x_p = 0}, and each type-a reflection has its own.  Both
-counts are checked against their closed forms N and N*.  The appendix
-identities are read off the same shapes, by integer counts, sums of group
-matrices and integer keys of flats; no quaternion is formed.  Whether W
+A hyperplane is the tuple of the ids of its reflections in the reflection
+list, built from the same shapes: the type-b reflections at coordinate p
+share {x_p = 0}, and each type-a reflection has its own.  Both counts are
+checked against their closed forms N and N*.  The appendix identities are
+read off the same shapes, with no quaternion formed: (ii) and (iii) off the
+operator f = sum_H alpha_H (alpha_H, .) / (alpha_H, alpha_H), held as its
+diagonal and its sums of group matrices, (iii) as the Rayleigh quotient of
+f at each normal, and (iv) off integer keys of flats.  Whether W
 acts irreducibly on H^n is read off (n, |Gamma|, |Delta|) by a proven
 closed form.  Tests certify on small groups that the enumeration equals a
 scan of W, that the block rank equals the full 2n x 2n rank, that the
@@ -30,7 +33,6 @@ and that the appendix verdicts equal those of the quaternionic computation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -51,15 +53,16 @@ class WreathContext:
         if self.sub.group is not self.group:
             raise ValueError(f"{self.where}: subgroup {self.sub.name!r} of {self.sub.group.spec} "
                              f"is not a subgroup of {self.group.spec}")
+        indices, mult = set(self.sub.indices), self.group.mult
+        if 0 not in indices or not all(indices.issuperset(map(mult[a].__getitem__, indices))
+                                       for a in indices):
+            raise ValueError(f"{self.where}: {self.sub.indices} does not hold the identity "
+                             f"or is not closed under multiplication")
 
     @property
     def where(self) -> str:
         """The input, as errors name it."""
         return f"Gamma {self.group.spec}, Delta {self.sub.name!r}, n = {self.n}"
-
-    @property
-    def order(self) -> int:
-        return self.group.order ** (self.n - 1) * self.sub.order * math.factorial(self.n)
 
     def raw_elements(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         group, sub, n = self.group, self.sub, self.n
@@ -139,13 +142,9 @@ def _rank_minus_one(mat: tuple[Cyc, ...], one: Cyc) -> int:
     return 0 if not (a or b or c or d) else 2 if a * d - b * c else 1
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    reflection_ids: tuple[int, ...]  # indices into the reflection list
-
-
-def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[Hyperplane]:
-    """The fix hyperplanes of the reflections, built from their shapes.
+def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[tuple[int, ...]]:
+    """The fix hyperplanes of the reflections, built from their shapes, each
+    as the ids of its reflections in ``refl``.
 
     The type-b reflections at coordinate p all fix {x_p = 0} and share one
     hyperplane; there is one for every p when Delta != 1.  A type-a
@@ -154,13 +153,13 @@ def hyperplanes(ctx: WreathContext, refl: list[Reflection]) -> list[Hyperplane]:
     against N* = C(n, 2)|Gamma| + n[Delta != 1].
     """
     coordinate: dict[int, list[int]] = {}
-    single: list[Hyperplane] = []
+    single: list[tuple[int, ...]] = []
     for i, r in enumerate(refl):
         if r.kind == "b":
             coordinate.setdefault(r.p, []).append(i)
         else:
-            single.append(Hyperplane((i,)))
-    out = [Hyperplane(tuple(ids)) for ids in coordinate.values()] + single
+            single.append((i,))
+    out = [tuple(ids) for ids in coordinate.values()] + single
     n = ctx.n
     expected = n * (n - 1) // 2 * ctx.group.order + (n if ctx.sub.order > 1 else 0)
     if len(out) != expected:
@@ -231,10 +230,11 @@ def numerology(ctx: WreathContext) -> NumerologyReport:
 
 
 def numerology_report(ctx: WreathContext, refl: list[Reflection],
-                      planes: list[Hyperplane]) -> NumerologyReport:
+                      planes: list[tuple[int, ...]]) -> NumerologyReport:
     """The report from the reflections and the hyperplanes, after the
-    closed-form checks on g and g + k = 2h, with irreducibility from its
-    closed form."""
+    closed-form check on g, with irreducibility from its closed form.
+    g + k = 2h holds by algebra, as g, h and k are read off the same N and
+    N*."""
     n = ctx.n
     N, Nstar = len(refl), len(planes)
     g = Fraction(2 * N, n)
@@ -244,8 +244,6 @@ def numerology_report(ctx: WreathContext, refl: list[Reflection],
     if g != closed_form:
         raise AssertionError(
             f"{ctx.where}: g = 2N/n = {g} but the closed form gives {closed_form}")
-    if g + k != 2 * h:
-        raise AssertionError(f"{ctx.where}: g + k != 2h")
     count_a = sum(1 for r in refl if r.kind == "a")
     count_b = N - count_a
     return NumerologyReport(
@@ -272,18 +270,10 @@ class AppendixReport:
     f_operator: str
     pairing_sum: str
     k_identity: str
-    irreducibility_warning: bool
 
 
-def appendix_checks(ctx: WreathContext) -> AppendixReport:
-    """The four appendix identities, exact, on every (Gamma, Delta, n)."""
-    refl = reflections(ctx)
-    planes = hyperplanes(ctx, refl)
-    return appendix_report(ctx, refl, planes, numerology_report(ctx, refl, planes))
-
-
-def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyperplane],
-                    report: NumerologyReport) -> AppendixReport:
+def appendix_report(ctx: WreathContext, refl: list[Reflection],
+                    planes: list[tuple[int, ...]], report: NumerologyReport) -> AppendixReport:
     """The appendix identities (i)-(iv), read off the shapes of the
     hyperplanes with no quaternion formed.  They assume that W acts
     irreducibly: on a reducible module a failed identity is reported as
@@ -298,13 +288,14 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
     (i) sum_r tr_C(1 - r) = 2(N + N*), with tr_C(r) read off the shape:
     2(n - 1) + tr delta for type b and 2(n - 2) for type a.
 
-    (ii) f = sum_H alpha_H (alpha_H, .) / (alpha_H, alpha_H) = (k/2) 1.  e_p
-    adds 1 at (p, p); (p, q, gamma) adds 1/2 at (p, p) and (q, q), -gamma/2
-    at (p, q) and -gamma^-1/2 at (q, p).  So f_ii = #type-b at i +
-    #type-a through i / 2, and f_pq = -S_pq / 2 = -f_qp^*, with S_pq the sum
-    of the group matrices gamma over the type-a hyperplanes on {p, q}.
+    (ii) f = sum_H alpha_H (alpha_H, .) / (alpha_H, alpha_H) = (k/2) 1, on
+    its entries from ``_f_operator``.
 
-    (iii) 2 sum_K t(H, K) = k for every H; see ``_pairing_sums``.
+    (iii) 2 sum_K t(H, K) = k for every H, with
+    t(H, K) = |(alpha_K, alpha_H)|^2 / ((alpha_K, alpha_K)(alpha_H, alpha_H)).
+    The sum is the Rayleigh quotient (alpha_H, f alpha_H) / (alpha_H, alpha_H)
+    of f at alpha_H, as (alpha_H, f alpha_H) = sum_K |(alpha_K, alpha_H)|^2 /
+    (alpha_K, alpha_K); see ``_rayleigh_quotients``.
 
     (iv) |A^H| = N* + 1 - k for every H, where A^H holds the distinct flats
     H cap K, K != H, each keyed by integers (``_meet_key``):
@@ -321,7 +312,7 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
     """
     group, n = ctx.group, ctx.n
     N, Nstar, k = report.N, report.Nstar, report.k
-    shapes = [refl[h.reflection_ids[0]] for h in planes]
+    shapes = [refl[ids[0]] for ids in planes]
 
     def verdict(failure: str) -> str:
         if not failure:
@@ -338,10 +329,10 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
         raise AssertionError(f"trace identity fails: {total} != {2 * (N + Nstar)}")
 
     # (ii)
-    tallies = _tallies(group, n, shapes)
-    b_at, a_through, _, sums = tallies
+    f = _f_operator(group, n, shapes)
+    diagonal, sums = f
     failure = ""
-    if any(b_at[i] + Fraction(a_through[i], 2) != k / 2 for i in range(n)):
+    if any(x != k / 2 for x in diagonal):
         failure = "f-operator identity fails on the diagonal"
     elif any(not x.is_zero() for mat in sums.values() for x in mat):
         failure = "f-operator identity fails off the diagonal"
@@ -349,7 +340,7 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
 
     # (iii)
     failure = next((f"pairing sum fails for a hyperplane: {2 * t} != {k}"
-                    for t in _pairing_sums(group, shapes, tallies) if 2 * t != k), "")
+                    for t in _rayleigh_quotients(group, shapes, f) if 2 * t != k), "")
     pairing_verdict = verdict(failure)
 
     # (iv): the key of H cap K is computed once per unordered pair
@@ -362,55 +353,44 @@ def appendix_report(ctx: WreathContext, refl: list[Reflection], planes: list[Hyp
                     for ks in meets if len(ks) != Nstar + 1 - k), "")
     k_verdict = verdict(failure)
 
-    return AppendixReport(report, "pass", f_verdict, pairing_verdict, k_verdict,
-                          not report.irreducible)
+    return AppendixReport(report, "pass", f_verdict, pairing_verdict, k_verdict)
 
 
-def _tallies(group: FiniteGroup, n: int, shapes: list[Reflection]) -> tuple:
-    """Per coordinate, #type-b at it and #type-a through it; per pair {p, q}
-    that carries a type-a hyperplane, #type-a on it and S_pq."""
-    b_at, a_through = [0] * n, [0] * n
-    a_on: dict[tuple[int, int], int] = {}
+def _f_operator(group: FiniteGroup, n: int, shapes: list[Reflection]) -> tuple:
+    """The entries of f = sum_H alpha_H (alpha_H, .) / (alpha_H, alpha_H) over
+    the hyperplanes of the shapes: its diagonal, and S_pq per pair p < q that
+    carries a type-a hyperplane.
+
+    e_p adds 1 at (p, p); (p, q, gamma) adds 1/2 at (p, p) and (q, q), -gamma/2
+    at (p, q) and -gamma^-1/2 at (q, p).  So f_ii = #type-b at i + #type-a
+    through i / 2, and f_pq = -S_pq / 2 = -f_qp^*, with S_pq the sum of the
+    group matrices gamma over the type-a hyperplanes on {p, q}.
+    """
+    diagonal = [Fraction(0)] * n
     sums: dict[tuple[int, int], tuple[Cyc, ...]] = {}
     for s in shapes:
         if s.kind == "b":
-            b_at[s.p] += 1
+            diagonal[s.p] += 1
             continue
-        a_through[s.p] += 1
-        a_through[s.q] += 1
-        pair = (s.p, s.q)
-        a_on[pair] = a_on.get(pair, 0) + 1
-        mat = group.elements[s.gamma]
+        diagonal[s.p] += Fraction(1, 2)
+        diagonal[s.q] += Fraction(1, 2)
+        pair, mat = (s.p, s.q), group.elements[s.gamma]
         sums[pair] = tuple(x + y for x, y in zip(sums[pair], mat)) if pair in sums else mat
-    return b_at, a_through, a_on, sums
+    return diagonal, sums
 
 
-def _pairing_sums(group: FiniteGroup, shapes: list[Reflection], tallies: tuple) -> list:
-    """sum_K t(H, K) over the hyperplanes K of the shapes, for each H, from
-    their ``_tallies``, with
-    t(H, K) = |(alpha_K, alpha_H)|^2 / ((alpha_K, alpha_K)(alpha_H, alpha_H)):
-    - 1 for K = H;
-    - 1/2 for a type-b and a type-a hyperplane that share a coordinate, and
-      1/4 for two type-a ones that share exactly one: the one product left
-      in (alpha_K, alpha_H) is a unit;
-    - (2 + tr(delta gamma^-1))/4 for (p, q, gamma) and (p, q, delta), as
-      (alpha_K, alpha_H) = 1 + delta gamma^-1 has norm 2 + 2 Re(delta gamma^-1);
-    - 0 for hyperplanes on disjoint coordinates.
-    By linearity of the trace the terms of the same pair sum to
-    (2 #type-a on {p, q} + tr(S_pq gamma^-1))/4.
+def _rayleigh_quotients(group: FiniteGroup, shapes: list[Reflection], f: tuple) -> list:
+    """(alpha_H, f alpha_H) / (alpha_H, alpha_H) for each hyperplane H of the
+    shapes, from the entries of f (``_f_operator``): f_pp for e_p, and
+    (f_pp + f_qq + Re(S_pq gamma^-1)) / 2 = (f_pp + f_qq) / 2 + tr(S_pq gamma^-1) / 4
+    for e_p - e_q gamma^-1, of norm 2, as a quaternion's matrix has trace 2 Re.
     """
-    b_at, a_through, a_on, sums = tallies
-    out = []
-    for s in shapes:
-        if s.kind == "b":
-            out.append(1 + Fraction(a_through[s.p], 2))
-            continue
-        pair = (s.p, s.q)
-        # tr(S_pq gamma^-1) = sum_ij (S_pq)_ij conj(gamma_ij), as gamma^-1 = gamma^*
-        trace = sum(x * y.conj() for x, y in zip(sums[pair], group.elements[s.gamma]))
-        out.append((trace + 2 * a_on[pair]) * Fraction(1, 4) + Fraction(b_at[s.p] + b_at[s.q], 2)
-                   + Fraction(a_through[s.p] + a_through[s.q] - 2 * a_on[pair], 4))
-    return out
+    diagonal, sums = f
+    # tr(S_pq gamma^-1) = sum_ij (S_pq)_ij conj(gamma_ij), as gamma^-1 = gamma^*
+    return [diagonal[s.p] if s.kind == "b" else
+            (diagonal[s.p] + diagonal[s.q]) / 2
+            + sum(x * y.conj() for x, y in zip(sums[s.p, s.q], group.elements[s.gamma])) / 4
+            for s in shapes]
 
 
 def _meet_key(group: FiniteGroup, h: Reflection, k: Reflection) -> tuple[int, ...]:

@@ -307,7 +307,7 @@ def quaternionic_appendix_identities(ctx: WreathContext) -> tuple[bool, bool, bo
     planes = hyperplanes(ctx, refl)
     n, m, nstar = ctx.n, ctx.group.conductor, len(planes)
     k = numerology_report(ctx, refl, planes).k
-    alphas = [alpha_of(ctx, refl[h.reflection_ids[0]]) for h in planes]
+    alphas = [alpha_of(ctx, refl[ids[0]]) for ids in planes]
     norms = [hermitian_form(a, a).z1.as_rational() for a in alphas]
 
     # (ii) f(v) = sum_H alpha_H (alpha_H, v) / (alpha_H, alpha_H) = (k/2) v
@@ -952,7 +952,7 @@ def reynolds_coverage_basis(spec: GroupSpec) -> GroebnerBasis:
     top = max(f.degree() for f in gens)
     monos = [Poly2.monomial(i, d - i) for d in range(1, top + 1) for i in range(d + 1)]
     for mono, r in zip(monos, reynolds_many(group, monos)):
-        if not r.is_zero() and not gb.contains(r):
+        if not gb.reduce(r).is_zero():
             raise AssertionError(
                 f"invariant of degree {mono.degree()} outside the fundamental ideal for {spec}")
     return gb

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from oracles import (all_roots_with_pairing_zero, alpha_string_positive_roots, b
 from zerofiber import characters, mckay
 from zerofiber.characters import ClassFunction, character_table, defining_character
 from zerofiber.cyclotomic import Cyc
-from zerofiber.groups import GroupSpec, build_group, orbit, resolve_subgroup
+from zerofiber.groups import (GroupSpec, Subgroup, build_group, close_indices, orbit,
+                              resolve_subgroup)
 from zerofiber.mckay import (
     admissible_alpha,
     character_of_L,
@@ -248,14 +250,11 @@ def test_dimension_bound():
 
 
 def test_dot_export_contains_labels():
-    spec = S("bt")
-    g = build_group(spec)
-    comm = resolve_subgroup(g, "comm")
-    text = dot_export(spec, comm)
+    text = dot_export(S("bt"))
     assert "graph mckay {" in text
     assert "E6(1)" in text
-    assert "alpha=" in text
-    assert "trivial-on-delta" in text
+    assert 'v0 [label="0 (dim=1, linear)\\ndelta=1"];' in text
+    assert 'v6 [label="6 (dim=3)\\ndelta=3"];' in text
 
 
 # -- differential oracle for the integer root search --------------------------
@@ -414,7 +413,7 @@ def test_a_subgroup_of_another_group_is_rejected(gamma, other, delta):
     sub = resolve_subgroup(build_group(S(other)), delta)
     message = f"subgroup '{delta}' of {other} is not a subgroup of {gamma}"
     for call in (lambda: admissible_alpha(spec, sub), lambda: character_of_L(spec, sub, 1),
-                 lambda: dimension_bound_check(spec, sub, 1), lambda: dot_export(spec, sub)):
+                 lambda: dimension_bound_check(spec, sub, 1)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 
@@ -458,7 +457,7 @@ def test_mckay_matrix_is_computed_once_per_spec(monkeypatch):
             dimension_bound_check(spec, sub, n)
         ctx = root_context(spec)
         generic_on_hyperplane(ctx, admissible_alpha(spec, sub))
-        dot_export(spec, sub)
+        dot_export(spec)
         assert calls == [spec]
 
 
@@ -509,23 +508,27 @@ def test_highest_roots_are_the_pairwise_maximal_candidates():
         assert admissible_alpha(spec, sub) == oracle, (text, sub.name)
 
 
-CYCLIC1_WHOLE_DOT = ('graph mckay {\n  label="cyclic:1 : A0(1)";\n'
-                     '  v0 [label="0 (dim=1, linear, trivial-on-delta)\\ndelta=1"];\n'
-                     '  v0 -- v0;\n}\n')
+CYCLIC1_DOT = ('graph mckay {\n  label="cyclic:1 : A0(1)";\n'
+               '  v0 [label="0 (dim=1, linear)\\ndelta=1"];\n'
+               '  v0 -- v0;\n}\n')
 
 
 @pytest.mark.parametrize("spec", MCKAY_SPECS)
 def test_dot_export_of_the_whole_group_tags_vertex_zero_alone(spec):
-    """Delta = Gamma tags only vertex 0 and labels no alpha, with no root
-    data: cyclic:1, whose root_context raises, exports as well."""
-    sub = resolve_subgroup(build_group(S(spec)), "whole")
-    plain = dot_export(S(spec))
-    tagged = plain.replace('v0 [label="0 (dim=1, linear)', 'v0 [label="0 (dim=1, linear, '
-                           'trivial-on-delta)', 1)
-    assert tagged != plain
-    assert dot_export(S(spec), sub) == tagged
+    """The export is of the whole group's McKay graph, with no Delta: each
+    vertex carries its dimension, a linear tag when it is linear, and its
+    delta coefficient, and nothing else; vertex 0 is dim=1 and linear.  It
+    needs no root data: cyclic:1, whose root_context raises, exports as
+    well."""
+    graph = mckay_graph(S(spec))
+    text = dot_export(S(spec))
+    for v, d in enumerate(graph.dims):
+        tags = f"dim={d}, linear" if v in graph.linear_vertices else f"dim={d}"
+        assert f'  v{v} [label="{v} ({tags})\\ndelta={d}"];\n' in text
+    assert text.count("[label=") == graph.size
+    assert '  v0 [label="0 (dim=1, linear)\\ndelta=1"];\n' in text
     if spec == "cyclic:1":
-        assert tagged == CYCLIC1_WHOLE_DOT
+        assert text == CYCLIC1_DOT
 
 
 @pytest.mark.parametrize("text,delta", [("bt", "comm"), ("bd:4", "cyc2"), ("cyclic:6", "comm"),
@@ -545,7 +548,57 @@ def test_each_public_call_derives_the_quotient_vertices_at_most_once(monkeypatch
     sub = resolve_subgroup(build_group(spec), delta)
     proper = sub.order < sub.group.order
     for call in (lambda: admissible_alpha(spec, sub), lambda: character_of_L(spec, sub, 2),
-                 lambda: dimension_bound_check(spec, sub, 2), lambda: dot_export(spec, sub)):
+                 lambda: dimension_bound_check(spec, sub, 2)):
         calls.clear()
         call()
         assert calls == ([spec] if proper else [])
+
+
+# -- errors that name their input -------------------------------------------------
+
+def test_a_rank_below_one_names_the_input():
+    spec = S("bt")
+    sub = resolve_subgroup(build_group(spec), "comm")
+    with pytest.raises(ValueError, match=r"^Gamma bt, Delta 'comm', n = 0: n must be >= 1$"):
+        character_of_L(spec, sub, 0)
+
+
+def test_a_wrong_dimension_of_L_names_the_input(monkeypatch):
+    """dim(L) = g + 1 holds by construction; an alpha of delta in place of
+    phi breaks it."""
+    spec = S("bt")
+    sub = resolve_subgroup(build_group(spec), "whole")
+    ctx = root_context(spec)
+    monkeypatch.setattr(mckay, "_l_data", lambda sp, sb: (ctx, (0,), ctx.delta))
+    with pytest.raises(AssertionError, match=r"^Gamma bt, Delta 'whole', n = 1: "
+                                             r"dim\(L\) = 48 but g \+ 1 = 47$"):
+        character_of_L(spec, sub, 1)
+
+
+def test_a_delta_without_a_nontrivial_quotient_character_names_the_input():
+    """<a> for an element a of order 4 outside the cyclic part of bd:3 is
+    not normal, and its normal closure is all of bd:3."""
+    spec = S("bd:3")
+    group = build_group(spec)
+    sub = Subgroup(group, "four", close_indices(group, [2]))
+    with pytest.raises(ValueError, match=r"^Gamma bd:3, Delta 'four': no nontrivial linear "
+                                         r"character of Gamma/Delta$"):
+        admissible_alpha(spec, sub)
+
+
+def test_a_failed_root_sum_names_the_input():
+    """Delta = 1 in bd:2 is no kernel of a character of an abelian quotient,
+    and its maximal admissible root has sum k_i n_i = 3, not 2|Delta| - 1."""
+    spec = S("bd:2")
+    sub = Subgroup(build_group(spec), "one", (0,))
+    with pytest.raises(AssertionError, match=r"^Gamma bd:2, Delta 'one': maximal admissible root "
+                                             r"\(0, 1, 0, 0, 1\) gives sum k_i n_i = 3, "
+                                             r"expected 2\|Delta\| - 1 = 1$"):
+        admissible_alpha(spec, sub)
+
+
+def test_an_alpha_that_is_no_root_names_the_group():
+    ctx = root_context(S("bt"))
+    with pytest.raises(ValueError, match=rf"^Gamma bt: alpha = {re.escape(str(ctx.delta))} "
+                                         rf"is not a finite positive root$"):
+        generic_on_hyperplane(ctx, ctx.delta)

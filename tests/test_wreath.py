@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 import sys
@@ -13,7 +14,7 @@ from oracles import (MonomialElement, alpha_of, complex_codim_of_fix, element_of
                      quaternionic_pairing_sums, row_times, rref, stability_search_is_irreducible,
                      structural_fix_codim)
 from test_linalg import column_rref_key, rand_quat
-from zerofiber import linalg, wreath
+from zerofiber import cli, linalg, wreath
 from zerofiber.cyclotomic import Cyc
 from zerofiber.groups import GroupSpec, Subgroup, build_group, resolve_subgroup
 from zerofiber.linalg import quat_row_key
@@ -21,7 +22,6 @@ from zerofiber.quaternion import Quaternion
 from zerofiber.wreath import (
     Reflection,
     WreathContext,
-    appendix_checks,
     hyperplanes,
     module_is_irreducible,
     numerology,
@@ -42,6 +42,19 @@ APPENDIX_SWEEP_ORDER_CAP = 500
 def ctx_of(gamma: str, delta: str, n: int) -> WreathContext:
     g = build_group(GroupSpec.parse(gamma))
     return WreathContext(g, resolve_subgroup(g, delta), n)
+
+
+def order_of(ctx: WreathContext) -> int:
+    """|W_n(Gamma, Delta)| = |Gamma|^(n-1) |Delta| n!."""
+    return ctx.group.order ** (ctx.n - 1) * ctx.sub.order * math.factorial(ctx.n)
+
+
+def appendix_of(ctx: WreathContext) -> wreath.AppendixReport:
+    """The appendix report from the reflections and hyperplanes of ctx, as
+    ``cli.report`` builds it."""
+    refl = wreath.reflections(ctx)
+    planes = wreath.hyperplanes(ctx, refl)
+    return wreath.appendix_report(ctx, refl, planes, wreath.numerology_report(ctx, refl, planes))
 
 
 def deltas_of(gamma: str) -> tuple[str, ...]:
@@ -99,7 +112,7 @@ def test_enumerated_reflections_equal_the_scan(gamma, delta):
     sub = resolve_subgroup(g, delta)
     for n in (1, 2, 3, 4):
         ctx = WreathContext(g, sub, n)
-        if n >= 3 and ctx.order > SCAN_ORDER_CAP:
+        if n >= 3 and order_of(ctx) > SCAN_ORDER_CAP:
             continue
         assert sorted(reflections(ctx)) == sorted(scan_reflections(ctx)), (gamma, delta, n)
 
@@ -131,10 +144,10 @@ def test_appendix_enumerates_reflections_once(monkeypatch):
         calls.append(ctx)
         return original(ctx, *args, **kwargs)
 
-    monkeypatch.setattr(wreath, "reflections", counted)
+    monkeypatch.setattr(cli, "reflections", counted)
     for gamma, delta, n in [("cyclic:3", "whole", 2), ("bi", "whole", 2)]:
         calls.clear()
-        appendix_checks(ctx_of(gamma, delta, n))
+        cli.report(ctx_of(gamma, delta, n), appendix=True)
         assert len(calls) == 1
 
 
@@ -153,11 +166,11 @@ def test_complex_trace_matches_the_dense_trace():
 
 
 def test_wreath_orders():
-    assert ctx_of("cyclic:2", "whole", 2).order == 8
-    assert ctx_of("bd:2", "cyc2", 2).order == 64
+    assert sum(1 for _ in ctx_of("cyclic:2", "whole", 2).raw_elements()) == 8
+    assert order_of(ctx_of("bd:2", "cyc2", 2)) == 64
     # W_1(Gamma, Delta) = Delta
     c = ctx_of("bd:3", "comm", 1)
-    assert c.order == 3
+    assert order_of(c) == 3
     assert sorted(e.gammas[0] for e in monomial_elements(c)) == sorted(c.sub.indices)
 
 
@@ -170,8 +183,8 @@ def test_iterator_counts_match_formula():
     ]:
         c = ctx_of(gamma, delta, n)
         elems = list(c.raw_elements())
-        assert len(elems) == c.order
-        assert len(set(elems)) == c.order
+        assert len(elems) == order_of(c)
+        assert len(set(elems)) == order_of(c)
 
 
 def test_structural_codim_equals_kernel_codim_bruteforce():
@@ -314,13 +327,13 @@ def test_type_a_blocks_are_confirmed_once_per_gamma(monkeypatch, gamma):
 
 
 def test_the_count_checks_name_the_input():
-    """A Delta without the identity keeps a type-b reflection that
-    |Delta| - 1 does not count, and a truncated reflection list breaks the
-    closed form for g.  Each error names Gamma, Delta and n."""
+    """A Delta that lists the identity twice counts in |Delta| - 1 a type-b
+    reflection that is never built, and a truncated reflection list breaks
+    the closed form for g.  Each error names Gamma, Delta and n."""
     group = build_group(GroupSpec.parse("bd:2"))
-    c = WreathContext(group, Subgroup(group, "odd", (5,)), 2)
-    with pytest.raises(AssertionError, match=r"^Gamma bd:2, Delta 'odd', n = 2: enumerated 10 "
-                                             r"reflections, formula gives 8$"):
+    c = WreathContext(group, Subgroup(group, "twice", (0, 0)), 2)
+    with pytest.raises(AssertionError, match=r"^Gamma bd:2, Delta 'twice', n = 2: enumerated 8 "
+                                             r"reflections, formula gives 10$"):
         reflections(c)
     c = ctx_of("bd:2", "whole", 2)
     refl = reflections(c)
@@ -391,7 +404,7 @@ def test_hyperplane_dedup_order_invariant():
         refl = reflections(c)
 
         def partition(rs):
-            return {frozenset(rs[i] for i in h.reflection_ids) for h in hyperplanes(c, rs)}
+            return {frozenset(rs[i] for i in ids) for ids in hyperplanes(c, rs)}
 
         base = partition(refl)
         rng = random.Random(42)
@@ -413,12 +426,12 @@ def test_stabilizer_orders():
     c = ctx_of("bd:2", "cyc2", 2)
     refl = reflections(c)
     planes = hyperplanes(c, refl)
-    for h in planes:
-        kinds = {refl[i].kind for i in h.reflection_ids}
+    for ids in planes:
+        kinds = {refl[i].kind for i in ids}
         if kinds == {"a"}:
-            assert 1 + len(h.reflection_ids) == 2
+            assert 1 + len(ids) == 2
         else:
-            assert 1 + len(h.reflection_ids) == c.sub.order
+            assert 1 + len(ids) == c.sub.order
 
 
 def test_numerology_n1():
@@ -476,7 +489,7 @@ def test_reducible_flagged_for_symmetric_group():
 def test_appendix_n1():
     for ell in (2, 3, 4):
         c = ctx_of(f"cyclic:{ell}", "whole", 1)
-        rep = appendix_checks(c)
+        rep = appendix_of(c)
         assert rep.trace_identity == "pass"
         assert rep.f_operator == "pass"
         assert rep.pairing_sum == "pass"
@@ -484,20 +497,20 @@ def test_appendix_n1():
 
 
 def test_appendix_cyclic2_n2():
-    rep = appendix_checks(ctx_of("cyclic:2", "whole", 2))
+    rep = appendix_of(ctx_of("cyclic:2", "whole", 2))
     assert rep.numerology.k == 4
     assert rep.trace_identity == rep.f_operator == rep.pairing_sum == rep.k_identity == "pass"
 
 
 def test_appendix_bd_and_bt():
     for gamma, delta, n in [("bd:2", "cyc2", 2), ("bd:2", "comm", 2), ("bt", "comm", 2)]:
-        rep = appendix_checks(ctx_of(gamma, delta, n))
+        rep = appendix_of(ctx_of(gamma, delta, n))
         assert rep.k_identity == "pass"
 
 
 def test_appendix_bi_whole_2_passes():
     """|Gamma| = 120: 7,200 pairs of hyperplanes for (iv)."""
-    rep = appendix_checks(ctx_of("bi", "whole", 2))
+    rep = appendix_of(ctx_of("bi", "whole", 2))
     assert rep.numerology.Nstar == 122 and rep.numerology.k == 122
     assert rep.trace_identity == rep.f_operator == rep.pairing_sum == rep.k_identity == "pass"
 
@@ -517,7 +530,7 @@ def test_numerology_non_rational_pivot_norms(gamma):
 
 def test_appendix_non_rational_pairings():
     """The traces tr(delta gamma^-1) of bd:4 include +-sqrt 2."""
-    rep = appendix_checks(ctx_of("bd:4", "whole", 2))
+    rep = appendix_of(ctx_of("bd:4", "whole", 2))
     assert rep.trace_identity == rep.f_operator == rep.pairing_sum == rep.k_identity == "pass"
 
 
@@ -552,9 +565,9 @@ def test_numerology_catalogue_sweep(gamma, delta):
         assert all(dense_codim_of_fix(c, element_of(c, r)) == 2 for r in refl)
         planes = hyperplanes(c, refl)
         buckets = key_bucketed_hyperplanes(c, refl)
-        assert ({frozenset(h.reflection_ids) for h in planes}
+        assert ({frozenset(ids) for ids in planes}
                 == {frozenset(ids) for _, ids in buckets.values()})
-        normals = [alpha_of(c, refl[h.reflection_ids[0]]) for h in planes]
+        normals = [alpha_of(c, refl[ids[0]]) for ids in planes]
         assert {quat_row_key(alpha) for alpha in normals} == set(buckets)
         eqs = [tuple(q.conj() for q in alpha) for alpha in normals]
         subsets = [tuple(eqs)] + [tuple(rng.sample(eqs, rng.randint(1, min(len(eqs), n + 2))))
@@ -562,20 +575,20 @@ def test_numerology_catalogue_sweep(gamma, delta):
         for rows in subsets:
             assert linalg.quat_rref_key(rows) == column_rref_key(rows)
 
-        app = appendix_checks(c)
+        app = appendix_of(c)
         # W_2(Z/2, 1) is reducible, yet its identities hold
         v = "fail(reducible)" if gamma == "cyclic:1" and n >= 2 else "pass"
         verdicts = (app.f_operator, app.pairing_sum, app.k_identity)
         assert (app.trace_identity, *verdicts) == ("pass", v, v, v)
-        if c.order <= APPENDIX_SWEEP_ORDER_CAP:
+        if order_of(c) <= APPENDIX_SWEEP_ORDER_CAP:
             assert quaternionic_appendix_identities(c) == tuple(x == "pass" for x in verdicts)
 
 
 @pytest.mark.parametrize("gamma,delta,n", [("cyclic:1", "whole", 2), ("cyclic:1", "comm", 2),
                                            ("cyclic:1", "whole", 3), ("cyclic:1", "comm", 3)])
 def test_appendix_on_a_reducible_module_reports_instead_of_raising(gamma, delta, n):
-    rep = appendix_checks(ctx_of(gamma, delta, n))
-    assert not rep.numerology.irreducible and rep.irreducibility_warning
+    rep = appendix_of(ctx_of(gamma, delta, n))
+    assert not rep.numerology.irreducible
     assert rep.trace_identity == "pass"
     assert rep.f_operator == rep.pairing_sum == rep.k_identity == "fail(reducible)"
 
@@ -584,7 +597,7 @@ def test_appendix_raises_when_an_irreducible_module_fails(monkeypatch):
     # claim irreducibility for W_2(1, 1) = S_2, whose identities (ii)-(iv) fail
     monkeypatch.setattr(wreath, "module_is_irreducible", lambda ctx: True)
     with pytest.raises(AssertionError, match="f-operator"):
-        appendix_checks(ctx_of("cyclic:1", "whole", 2))
+        appendix_of(ctx_of("cyclic:1", "whole", 2))
 
 
 def resolvable_subgroups(gamma: str) -> list:
@@ -616,8 +629,8 @@ def test_closed_form_irreducibility_equals_the_stability_search(gamma, ranks):
 
 
 def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
-    """numerology and appendix_checks on every catalogue (Gamma, Delta, n <= 3)
-    make no quaternionic elimination, no exact rank and form no quaternion;
+    """numerology and the appendix report on every catalogue (Gamma, Delta,
+    n <= 3) make no quaternionic elimination, no exact rank and form no quaternion;
     each counter does see its oracle's: the quaternionic appendix identities
     and the Reynolds rank of ``oracles.invariant_dim``."""
     eliminations, quaternions, ranks = [], [], []
@@ -648,7 +661,7 @@ def test_numerology_path_makes_no_quaternionic_elimination(monkeypatch):
             for n in (1, 2, 3):
                 c = WreathContext(g, sub, n)
                 numerology(c)
-                appendix_checks(c)
+                appendix_of(c)
     assert (eliminations, quaternions, ranks) == ([], [], [])
     quaternionic_appendix_identities(ctx_of("cyclic:2", "whole", 2))
     assert eliminations and quaternions
@@ -674,7 +687,7 @@ def test_meet_keys_group_pairs_as_the_quaternionic_row_space_does(gamma, delta, 
     c = ctx_of(gamma, delta, n)
     refl = reflections(c)
     planes = hyperplanes(c, refl)
-    shapes = [refl[h.reflection_ids[0]] for h in planes]
+    shapes = [refl[ids[0]] for ids in planes]
     rows = [tuple(q.conj() for q in alpha_of(c, r)) for r in shapes]
     pairs = list(itertools.combinations(range(len(planes)), 2))
     by_shape = meet_partition(pairs, lambda p: wreath._meet_key(c.group, shapes[p[0]],
@@ -688,7 +701,7 @@ def test_meet_keys_group_pairs_as_the_quaternionic_row_space_does(gamma, delta, 
     ("bd:1", "whole", 4), ("cyclic:1", "whole", 4), ("cyclic:2", "whole", 5)])
 def test_appendix_beyond_rank_three_equals_the_oracle(gamma, delta, n):
     c = ctx_of(gamma, delta, n)
-    app = appendix_checks(c)
+    app = appendix_of(c)
     verdicts = (app.f_operator, app.pairing_sum, app.k_identity)
     assert quaternionic_appendix_identities(c) == tuple(x == "pass" for x in verdicts)
     assert verdicts == (("pass",) * 3 if c.group.order > 1 else ("fail(reducible)",) * 3)
@@ -697,17 +710,18 @@ def test_appendix_beyond_rank_three_equals_the_oracle(gamma, delta, n):
 @pytest.mark.parametrize("gamma,delta,n", [("bt", "whole", 2), ("bd:4", "cyc2", 3),
                                            ("bo", "comm", 2), ("cyclic:5", "whole", 3)])
 def test_pairing_sums_on_subsets_equal_the_quaternionic_sums(gamma, delta, n):
-    """On random subsets of the hyperplanes every term of (iii) counts: the
-    group-matrix sums S_pq are neither 0 nor scalar, and the traces include
-    irrational ones (bd:4, bo, cyclic:5)."""
+    """On random subsets of the hyperplanes, the Rayleigh quotient of their
+    f-operator at each normal equals the quaternionic pairing sum, with every
+    term counting: the group-matrix sums S_pq are neither 0 nor scalar, and
+    the traces include irrational ones (bd:4, bo, cyclic:5)."""
     c = ctx_of(gamma, delta, n)
     refl = reflections(c)
-    shapes = [refl[h.reflection_ids[0]] for h in hyperplanes(c, refl)]
+    shapes = [refl[ids[0]] for ids in hyperplanes(c, refl)]
     rng = random.Random(f"{gamma} {delta} {n}")
     for _ in range(5):
         subset = rng.sample(shapes, rng.randint(1, min(len(shapes), 30)))
-        tallies = wreath._tallies(c.group, n, subset)
-        assert (wreath._pairing_sums(c.group, subset, tallies)
+        f = wreath._f_operator(c.group, n, subset)
+        assert (wreath._rayleigh_quotients(c.group, subset, f)
                 == quaternionic_pairing_sums([alpha_of(c, r) for r in subset]))
 
 
@@ -717,6 +731,17 @@ def test_a_subgroup_of_another_group_is_rejected():
     with pytest.raises(ValueError, match=r"Gamma bo, Delta 'comm', n = 2: subgroup 'comm' "
                                          r"of bt is not a subgroup of bo"):
         WreathContext(bo, resolve_subgroup(bt, "comm"), 2)
+
+
+@pytest.mark.parametrize("name,indices", [("odd", (5,)), ("open", (0, 5))], ids=["odd", "open"])
+def test_a_delta_that_is_no_subgroup_is_rejected_before_any_reflection(name, indices):
+    """(5,) lacks the identity and (0, 5) is not closed (5 has order 4 in
+    bd:2); each is rejected when the context is built."""
+    group = build_group(GroupSpec.parse("bd:2"))
+    with pytest.raises(ValueError, match=rf"^Gamma bd:2, Delta '{name}', n = 2: "
+                                         rf"{re.escape(str(indices))} does not hold the identity "
+                                         rf"or is not closed under multiplication$"):
+        WreathContext(group, Subgroup(group, name, indices), 2)
 
 
 @pytest.mark.parametrize("n", [0, -1])
